@@ -253,15 +253,30 @@ def _cmd_self_test(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_OBSTRUCTION
 
 
+def _checked(convert, ok, requirement: str):
+    """An argparse type: ``convert`` the text, then reject values failing ``ok``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mesostab",
         description="Graph-combinatorial semi-definiteness tests and oscillator phase-lock stability checks",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--nmax", type=int, default=DEFAULT_N_MAX,
+    parser.add_argument("--nmax", default=DEFAULT_N_MAX,
+                        type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
                         help="size guard for exhaustive principal-minor sweeps")
-    parser.add_argument("--tol", type=float, default=REL_TOL,
+    parser.add_argument("--tol", default=REL_TOL,
+                        type=_checked(float, lambda v: 0.0 < v < 1.0, "a number with 0 < tol < 1"),
                         help="relative tolerance coefficient for verdicts")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .analysis import ARITHMETIC_ZERO_TOL, DEGENERATE, StabilityReport, analyze_matrix
-from .graphs import WeightedGraph, _UnionFind
+from .graphs import WeightedGraph, _UnionFind, graph_components
 from .numerics import REL_TOL
 
 logger = logging.getLogger(__name__)
@@ -78,15 +78,6 @@ class KuramotoSystem:
 
     def coupling_graph(self) -> WeightedGraph:
         return WeightedGraph(self.n, tuple(self.coupling_edges()))
-
-    def coupling_components(self) -> list[frozenset[int]]:
-        uf = _UnionFind(range(1, self.n + 1))
-        for i, j, _ in self.coupling_edges():
-            uf.union(i, j)
-        groups: dict[int, set[int]] = {}
-        for v in range(1, self.n + 1):
-            groups.setdefault(uf.find(v), set()).add(v)
-        return [frozenset(c) for c in sorted(groups.values(), key=min)]
 
 
 def wrap_phases(x) -> np.ndarray:
@@ -200,7 +191,7 @@ def spanning_phase_condition(sys: KuramotoSystem, xstar) -> bool:
     for (i, j), d in diffs.items():
         if abs(d) < math.pi / 2:
             uf.union(i, j)
-    for comp in sys.coupling_components():
+    for comp in graph_components(sys.coupling_graph()):
         if len({uf.find(v) for v in comp}) > 1:
             return False
     return True
@@ -222,23 +213,11 @@ def classify_stability(sys: KuramotoSystem, xstar, *, rel: float = REL_TOL,
         rel=rel,
         n_max=n_max,
         zero_tol=ARITHMETIC_ZERO_TOL,
-        required_components=sys.coupling_components(),
+        required_components=graph_components(sys.coupling_graph()),
     )
     if report.rank_estimate < sys.n - 1 and not report.certified:
         notes = report.notes + (
             f"rank estimate {report.rank_estimate} below {sys.n - 1}: linearization is degenerate",
         )
-        return StabilityReport(
-            verdict=DEGENERATE,
-            certified=False,
-            rank_estimate=report.rank_estimate,
-            n=report.n,
-            definiteness=report.definiteness,
-            full_sweep=report.full_sweep,
-            spanning_forest=report.spanning_forest,
-            negative_cut=report.negative_cut,
-            negative_cut_edges=report.negative_cut_edges,
-            line_reports=report.line_reports,
-            notes=notes,
-        )
+        return replace(report, verdict=DEGENERATE, certified=False, notes=notes)
     return report

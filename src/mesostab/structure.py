@@ -71,18 +71,11 @@ def find_negative_cut(g: WeightedGraph) -> Optional[tuple[int, ...]]:
     for _, i, j, w in g.simple_edges():
         if w > 0:
             pos.union(i, j)
-    whole = _UnionFind(g.vertices)
-    for _, i, j, _ in g.simple_edges():
-        whole.union(i, j)
-    groups: dict[int, set[int]] = {}
+    parts: dict[int, set[int]] = {}
     for v in g.vertices:
-        groups.setdefault(pos.find(v), set()).add(v)
-    candidates = []
-    for part in groups.values():
-        v0 = min(part)
-        comp = {v for v in g.vertices if whole.find(v) == whole.find(v0)}
-        if part != comp:
-            candidates.append(tuple(sorted(part)))
+        parts.setdefault(pos.find(v), set()).add(v)
+    comp_of = {v: comp for comp in graph_components(g) for v in comp}
+    candidates = [tuple(sorted(part)) for part in parts.values() if part != comp_of[min(part)]]
     if not candidates:
         return None
     v1 = min(candidates, key=lambda t: (len(t), t))

@@ -10,6 +10,7 @@ eigenvalues so that the verdict kind stays meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -129,36 +130,62 @@ def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL)
     return DefinitenessVerdict(INDEFINITE, rank, first_pos_violation)
 
 
+def _leading_minor_refusal(L: np.ndarray, rel: float) -> tuple[int, bool]:
+    """First k whose leading minor fails ``minor > rel * hadamard_bound``, or 0.
+
+    Also says whether that minor lies below ``-rel * hadamard_bound``. One
+    unpivoted elimination of the leading (n-1)-block yields every leading
+    minor as a product of pivots; pivoting is unneeded since each pivot used
+    sits on a leading block that passed, hence is positive definite. The
+    comparison runs in log form on the block divided by its largest entry:
+    both sides of the k-th test scale as s^k, so the decision is that of the
+    raw products, free of overflow and underflow.
+    """
+    m = L.shape[0] - 1
+    block = L[:m, :m]
+    a = block / (float(np.max(np.abs(block), initial=0.0)) or 1.0)
+    with np.errstate(divide="ignore"):
+        half_logs = 0.5 * np.log(np.cumsum(a * a, axis=1))
+        # log(rel * Hadamard bound) of block k sums column k-1 over its first k rows
+        log_bounds = (np.log(rel) + np.triu(half_logs).sum(axis=0)).tolist()
+    log_minor = 0.0
+    for j in range(m):
+        pivot = float(a[j, j])
+        if pivot <= 0.0:
+            return j + 1, pivot < 0.0 and log_minor + math.log(-pivot) > log_bounds[j]
+        log_minor += math.log(pivot)
+        if log_minor <= log_bounds[j]:
+            return j + 1, False
+        a[j + 1:, j + 1:] -= np.outer(a[j + 1:, j] / pivot, a[j, j + 1:])
+    return 0, False
+
+
 def is_psd_zero_row_sum(L: np.ndarray, rel: float = REL_TOL) -> DefinitenessVerdict:
     """Certificate for PSD with rank n-1, valid for zero-row-sum matrices.
 
     Strict positivity of the n-1 leading principal minors certifies the
-    verdict at the cost of n determinants instead of 2^n. When some leading
-    minor fails the strict threshold, nothing combinatorial can be
-    concluded, so the returned kind falls back to the eigenvalue
-    classification; the failing leading minor is attached when it is
-    negative outright, otherwise an eigenvector with a disqualifying
-    quadratic form serves as the witness.
+    verdict; all of them come from one factorization, compared with their
+    Hadamard bounds in log form. When some leading minor fails the strict
+    threshold, nothing combinatorial can be concluded, so the returned kind
+    falls back to the eigenvalue classification; the failing leading minor
+    is attached when it is negative outright, otherwise an eigenvector with
+    a disqualifying quadratic form serves as the witness.
     """
     L = require_zero_row_sums(require_symmetric(L), rel)
-    n = L.shape[0]
-    for k in range(1, n):
-        sub = L[:k, :k]
-        minor = det_partial_pivot(sub)
-        threshold = rel * hadamard_bound(sub)
-        if minor <= threshold:
-            kind, rank, w = _classify_by_eigenvalues(L)
-            witness: Optional[Witness]
-            if minor < -threshold:
-                witness = MinorWitness(tuple(range(1, k + 1)), minor)
-            elif kind in (INDEFINITE, NEGATIVE_SEMI_DEFINITE, NEGATIVE_DEFINITE):
-                vecs = np.linalg.eigh(L)[1]
-                v = vecs[:, 0]
-                witness = VectorWitness(tuple(float(x) for x in v), float(w[0]))
-            else:
-                witness = None
-            return DefinitenessVerdict(kind, rank, witness)
-    return DefinitenessVerdict(POSITIVE_SEMI_DEFINITE, n - 1)
+    k, negative = _leading_minor_refusal(L, rel)
+    if k == 0:
+        return DefinitenessVerdict(POSITIVE_SEMI_DEFINITE, L.shape[0] - 1)
+    kind, rank, w = _classify_by_eigenvalues(L)
+    witness: Optional[Witness]
+    if negative:
+        witness = MinorWitness(tuple(range(1, k + 1)), det_partial_pivot(L[:k, :k]))
+    elif kind in (INDEFINITE, NEGATIVE_SEMI_DEFINITE, NEGATIVE_DEFINITE):
+        vecs = np.linalg.eigh(L)[1]
+        v = vecs[:, 0]
+        witness = VectorWitness(tuple(float(x) for x in v), float(w[0]))
+    else:
+        witness = None
+    return DefinitenessVerdict(kind, rank, witness)
 
 
 def certifies_psd_max_rank(verdict: DefinitenessVerdict, n: int) -> bool:
@@ -248,12 +275,6 @@ def check_equivalences(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = R
         if not cond_ii and not cond_iii:
             break
 
-    cond_iv = True
-    for k in range(1, n):
-        sub = L[:k, :k]
-        if det_partial_pivot(sub) <= rel * hadamard_bound(sub):
-            cond_iv = False
-            break
-
+    cond_iv = _leading_minor_refusal(L, rel)[0] == 0
     cond_v = _is_pd_cholesky(L[: n - 1, : n - 1])
     return EquivalenceReport(cond_i, cond_ii, cond_iii, cond_iv, cond_v)

@@ -11,46 +11,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-import numpy as np
-
 from mesostab import WeightedGraph
-
-
-def random_signed_graph(rng, n, m, connected=True, weights=(-3, 3)):
-    """Graph with nonzero integer weights drawn from the given range."""
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    chosen = set()
-    if connected and n > 1:
-        order = list(range(1, n + 1))
-        rng.shuffle(order)
-        for a, b in zip(order, order[1:]):
-            chosen.add((min(a, b), max(a, b)))
-    extra = [p for p in pairs if p not in chosen]
-    rng.shuffle(extra)
-    for p in extra[: max(0, m - len(chosen))]:
-        chosen.add(p)
-    lo, hi = weights
-    edges = []
-    for i, j in sorted(chosen):
-        w = 0
-        while w == 0:
-            w = int(rng.integers(lo, hi + 1))
-        edges.append((i, j, float(w)))
-    return WeightedGraph(n, tuple(edges))
+from mesostab.selftest import random_signed_graph, random_zero_row_sum_matrix
 
 
 def random_positive_graph(rng, n, m, connected=True):
     g = random_signed_graph(rng, n, m, connected)
     return WeightedGraph(g.n, tuple((i, j, abs(w)) for i, j, w in g.edges))
-
-
-def random_zero_row_sum_matrix(rng, n):
-    """Symmetric integer matrix with exactly zero row sums."""
-    m = rng.integers(-3, 4, size=(n, n))
-    a = np.triu(m, 1)
-    a = (a + a.T).astype(float)
-    np.fill_diagonal(a, -a.sum(axis=1))
-    return a
 
 
 def brute_force_has_cycle(edges):

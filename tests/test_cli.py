@@ -90,6 +90,17 @@ class TestAnalyzeMatrix:
         assert main(["analyze-matrix", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [
+        "--tol=-1", "--tol=nan", "--tol=inf", "--tol=0", "--tol=1", "--tol=abc", "--nmax=-3", "--nmax=0",
+    ])
+    def test_bad_option_is_usage_error(self, capsys, c_matrix, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "json", option, "analyze-matrix", str(c_matrix)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {option.split('=')[0]}:" in captured.err
+        assert captured.out == ""
+
 
 class TestAnalyzeGraph:
     def test_triangle_passes(self, capsys, triangle_file):

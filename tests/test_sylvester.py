@@ -6,17 +6,25 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import random_zero_row_sum_matrix
+from helpers import random_positive_graph, random_zero_row_sum_matrix
 from mesostab import (
+    DefinitenessVerdict,
     GuardLimitError,
+    KuramotoSystem,
     MinorWitness,
+    VectorWitness,
     WeightedGraph,
     check_equivalences,
+    find_equilibrium,
     is_psd_full,
     is_psd_zero_row_sum,
+    jacobian,
     laplacian,
     quadratic_form,
 )
+from mesostab import sylvester
+from mesostab.numerics import REL_TOL, det_partial_pivot, hadamard_bound
+from mesostab.sylvester import _classify_by_eigenvalues
 
 C_MATRIX = np.array([
     [0.0, 0.0, 1.0, -1.0],
@@ -201,3 +209,101 @@ class TestEquivalences:
     def test_guard(self):
         with pytest.raises(GuardLimitError, match="n_max=3"):
             check_equivalences(np.zeros((4, 4)), n_max=3)
+
+
+def reference_certificate(L, rel=REL_TOL):
+    """The per-k certificate: a fresh determinant and Hadamard bound for each leading block."""
+    n = L.shape[0]
+    for k in range(1, n):
+        sub = L[:k, :k]
+        minor = det_partial_pivot(sub)
+        threshold = rel * hadamard_bound(sub)
+        if minor <= threshold:
+            kind, rank, w = _classify_by_eigenvalues(L)
+            if minor < -threshold:
+                witness = MinorWitness(tuple(range(1, k + 1)), minor)
+            elif kind in ("indefinite", "negative-semi-definite", "negative-definite"):
+                v = np.linalg.eigh(L)[1][:, 0]
+                witness = VectorWitness(tuple(float(x) for x in v), float(w[0]))
+            else:
+                witness = None
+            return DefinitenessVerdict(kind, rank, witness)
+    return DefinitenessVerdict("positive-semi-definite", n - 1)
+
+
+def dense_kuramoto_jacobian(rng, n, scale=1.0):
+    """Coupling-weighted cosines of phase differences, rows balanced to zero.
+
+    Phases sit near synchrony, with an anti-phase cluster half of the time.
+    """
+    b = rng.uniform(0.5, 1.5, size=(n, n)) * (3.0 * scale / n)
+    b = np.triu(b, 1)
+    b = b + b.T
+    x = rng.normal(0.0, 0.3, n)
+    if rng.integers(0, 2):
+        x[rng.choice(n, int(rng.integers(1, n // 2 + 1)), replace=False)] += np.pi
+    a = b * np.cos(x[None, :] - x[:, None])
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, -a.sum(axis=1))
+    return a
+
+
+def _no_eigenvalues(*args, **kwargs):
+    raise AssertionError("the certificate fell back to eigenvalues")
+
+
+class TestLeadingMinorKernel:
+    def test_matches_per_k_reference_on_integer_matrices(self):
+        rng = np.random.default_rng(67)
+        routes = set()
+        for trial in range(1200):
+            n = int(rng.integers(1, 9))
+            if trial % 3 == 2:
+                a = laplacian(random_positive_graph(rng, n, int(rng.integers(n - 1, n * (n - 1) // 2 + 1))))
+            else:
+                a = random_zero_row_sum_matrix(rng, n)
+            for L in (a, -a):
+                verdict = is_psd_zero_row_sum(L)
+                expected = reference_certificate(L)
+                assert verdict == expected
+                routes.add(type(verdict.witness).__name__ if verdict.witness else verdict.kind)
+                if trial % 10 == 0:
+                    certified = expected.witness is None and expected.rank_estimate == n - 1 \
+                        and expected.kind == "positive-semi-definite"
+                    assert check_equivalences(L).leading_minors_positive == certified
+        assert {"MinorWitness", "VectorWitness", "positive-semi-definite"} <= routes
+
+    def test_matches_per_k_reference_on_dense_kuramoto_jacobians(self):
+        rng = np.random.default_rng(71)
+        certified = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 61))
+            a = dense_kuramoto_jacobian(rng, n, scale=10.0 ** rng.uniform(-2, 2))
+            for L in (-a, a):
+                verdict = is_psd_zero_row_sum(L)
+                assert verdict == reference_certificate(L)
+                certified += verdict.witness is None and verdict.rank_estimate == n - 1
+        assert certified >= 10
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_certifies_scaled_path_without_eigenvalues(self, monkeypatch, scale):
+        monkeypatch.setattr(sylvester.np.linalg, "eigvalsh", _no_eigenvalues)
+        monkeypatch.setattr(sylvester.np.linalg, "eigh", _no_eigenvalues)
+        path = WeightedGraph(10, tuple((i, i + 1, 1.0) for i in range(1, 10)))
+        verdict = is_psd_zero_row_sum(scale * laplacian(path))
+        assert verdict == DefinitenessVerdict("positive-semi-definite", 9)
+
+    def test_certifies_dense_jacobian_without_eigenvalues(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        n = 176
+        omega = rng.normal(0.0, 0.5, n) * 100.0
+        b = np.triu(rng.uniform(0.5, 1.5, size=(n, n)) * (300.0 / n), 1)
+        system = KuramotoSystem(omega, b + b.T)
+        x = find_equilibrium(system, np.zeros(n))
+        assert x is not None
+        monkeypatch.setattr(sylvester.np.linalg, "eigvalsh", _no_eigenvalues)
+        monkeypatch.setattr(sylvester.np.linalg, "eigh", _no_eigenvalues)
+        with np.errstate(all="raise"):
+            verdict = is_psd_zero_row_sum(-jacobian(system, x))
+        assert verdict == DefinitenessVerdict("positive-semi-definite", n - 1)
+
