@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import WeightedGraph, coates_graph, graph_components, laplacian
+from .graphs import WeightedGraph, coates_graph, cut_edges, graph_components, laplacian
 from .numerics import REL_TOL, eigen_rank, require_symmetric, require_zero_row_sums
 from .structure import (
     LineBoundReport,
@@ -89,12 +89,7 @@ def analyze_matrix(a: np.ndarray, *, rel: float = REL_TOL, n_max: int = DEFAULT_
     forest = _positive_spanning_forest(g, components)
     spanning = tuple(g.edges[idx] for idx in forest.sorted_members()) if forest is not None else None
     cut = find_negative_cut(g) if forest is None else None
-    cut_edges_list: tuple[tuple[int, int, float], ...] = ()
-    if cut is not None:
-        side = set(cut)
-        cut_edges_list = tuple(
-            (i, j, w) for _, i, j, w in g.simple_edges() if (i in side) != (j in side)
-        )
+    cut_edges_list = cut_edges(g, cut).edge_tuples() if cut is not None else ()
     lines = tuple(line_obstruction_scan(g, rel))
 
     rank = eigen_rank(a)

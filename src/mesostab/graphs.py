@@ -214,20 +214,23 @@ class _UnionFind:
         self.parent[rb] = ra
         return True
 
+    def groups(self) -> list[frozenset[int]]:
+        """The classes, ordered by smallest label."""
+        classes: dict[int, set[int]] = {}
+        for v in self.parent:
+            classes.setdefault(self.find(v), set()).add(v)
+        return [frozenset(c) for c in sorted(classes.values(), key=min)]
+
 
 def connected_components(k: EdgeSubset) -> list[frozenset[int]]:
     """Components of the edge-induced subgraph; untouched vertices are omitted.
 
     Deterministic order: by smallest vertex label.
     """
-    touched = k.touched_vertices()
-    uf = _UnionFind(touched)
+    uf = _UnionFind(k.touched_vertices())
     for i, j, _ in k.edge_tuples():
         uf.union(i, j)
-    groups: dict[int, set[int]] = {}
-    for v in touched:
-        groups.setdefault(uf.find(v), set()).add(v)
-    return [frozenset(g) for g in sorted(groups.values(), key=min)]
+    return uf.groups()
 
 
 def is_forest(k: EdgeSubset) -> bool:
@@ -305,7 +308,4 @@ def graph_components(g: WeightedGraph) -> list[frozenset[int]]:
     uf = _UnionFind(g.vertices)
     for _, i, j, _ in g.simple_edges():
         uf.union(i, j)
-    groups: dict[int, set[int]] = {}
-    for v in g.vertices:
-        groups.setdefault(uf.find(v), set()).add(v)
-    return [frozenset(c) for c in sorted(groups.values(), key=min)]
+    return uf.groups()

@@ -17,8 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .analysis import ARITHMETIC_ZERO_TOL, DEGENERATE, StabilityReport, analyze_matrix
-from .graphs import WeightedGraph, _UnionFind, graph_components
+from .graphs import WeightedGraph, coates_graph, graph_components
 from .numerics import REL_TOL
+from .structure import positive_spanning_tree
 
 logger = logging.getLogger(__name__)
 
@@ -175,26 +176,18 @@ def jacobian(sys: KuramotoSystem, xstar) -> np.ndarray:
     return _residual_jacobian(sys, xstar)
 
 
-def phase_differences(sys: KuramotoSystem, xstar) -> dict[tuple[int, int], float]:
-    """Coupled-pair phase differences reduced to (-pi, pi]."""
-    x = np.asarray(xstar, dtype=float)
-    return {
-        (i, j): float(wrap_to_pi(x[j - 1] - x[i - 1]))
-        for i, j, _ in sys.coupling_edges()
-    }
-
-
 def spanning_phase_condition(sys: KuramotoSystem, xstar) -> bool:
-    """True iff every coupling component is spanned by edges with |dphase| < pi/2."""
-    diffs = phase_differences(sys, xstar)
-    uf = _UnionFind(range(1, sys.n + 1))
-    for (i, j), d in diffs.items():
-        if abs(d) < math.pi / 2:
-            uf.union(i, j)
-    for comp in graph_components(sys.coupling_graph()):
-        if len({uf.find(v) for v in comp}) > 1:
-            return False
-    return True
+    """True iff every coupling component is spanned by edges with |dphase| < pi/2.
+
+    This is the positive-spanning-tree test on the coupling graph with each
+    edge signed by whether its pair is within pi/2 of phase.
+    """
+    x = np.asarray(xstar, dtype=float)
+    if x.shape != (sys.n,):
+        raise ValueError(f"phase vector has shape {x.shape}, expected ({sys.n},)")
+    near = np.triu(np.abs(wrap_to_pi(x[None, :] - x[:, None])) < math.pi / 2, 1)
+    near = near | near.T
+    return positive_spanning_tree(coates_graph(np.where(near, sys.b, -sys.b))) is not None
 
 
 def classify_stability(sys: KuramotoSystem, xstar, *, rel: float = REL_TOL,

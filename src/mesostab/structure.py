@@ -18,6 +18,7 @@ from .graphs import (
     _UnionFind,
     _vertex_subset,
     connected_components,
+    cut_edges,
     graph_components,
     induced_lines,
     laplacian,
@@ -26,6 +27,14 @@ from .minors import _family_leaves, _forest_leaves, principal_minor_direct
 from .numerics import REL_TOL, GuardLimitError
 
 CUT_GUARD = 20
+
+
+def _positive_union_find(g: WeightedGraph) -> tuple[_UnionFind, list[int]]:
+    """Union-find over the positive edges of ``g`` (taken in index order) and
+    the forest edges it joined; its classes are the positive components."""
+    uf = _UnionFind(g.vertices)
+    forest = [idx for idx, i, j, w in g.simple_edges() if w > 0 and uf.union(i, j)]
+    return uf, forest
 
 
 def _positive_spanning_forest(g: WeightedGraph, components: Optional[list[frozenset[int]]] = None
@@ -37,15 +46,9 @@ def _positive_spanning_forest(g: WeightedGraph, components: Optional[list[frozen
     """
     if components is None:
         components = graph_components(g)
-    uf = _UnionFind(g.vertices)
-    forest = []
-    for idx, i, j, w in g.simple_edges():
-        if w > 0 and uf.union(i, j):
-            forest.append(idx)
-    for comp in components:
-        roots = {uf.find(v) for v in comp}
-        if len(roots) > 1:
-            return None
+    uf, forest = _positive_union_find(g)
+    if any(len({uf.find(v) for v in comp}) > 1 for comp in components):
+        return None
     return EdgeSubset(g, frozenset(forest))
 
 
@@ -62,25 +65,23 @@ def positive_spanning_tree(g: WeightedGraph) -> Optional[EdgeSubset]:
 def find_negative_cut(g: WeightedGraph) -> Optional[tuple[int, ...]]:
     """A vertex set whose (non-empty) boundary consists of negative edges.
 
-    Found as a connected component of the positive-edge subgraph that fails
-    to span its component of ``g``; among the candidates the smallest one is
-    returned, ties broken by smallest vertex label. Returns None when every
+    Found as a connected component of the positive-edge subgraph that some
+    edge of ``g`` leaves; such an edge is negative, since a positive edge
+    never leaves its component. Among the candidates the smallest one is
+    returned, ties broken lexicographically. Returns None when every
     component has a positive spanning tree.
     """
-    pos = _UnionFind(g.vertices)
-    for _, i, j, w in g.simple_edges():
-        if w > 0:
-            pos.union(i, j)
-    parts: dict[int, set[int]] = {}
-    for v in g.vertices:
-        parts.setdefault(pos.find(v), set()).add(v)
-    comp_of = {v: comp for comp in graph_components(g) for v in comp}
-    candidates = [tuple(sorted(part)) for part in parts.values() if part != comp_of[min(part)]]
+    uf, _ = _positive_union_find(g)
+    left = set()
+    for _, i, j, _ in g.simple_edges():
+        ri, rj = uf.find(i), uf.find(j)
+        if ri != rj:
+            left.update((ri, rj))
+    candidates = [tuple(sorted(c)) for c in uf.groups() if uf.find(min(c)) in left]
     if not candidates:
         return None
     v1 = min(candidates, key=lambda t: (len(t), t))
-    side = set(v1)
-    crossing = [(i, j, w) for _, i, j, w in g.simple_edges() if (i in side) != (j in side)]
+    crossing = cut_edges(g, v1).edge_tuples()
     if not crossing or any(w >= 0 for _, _, w in crossing):
         raise AssertionError(f"negative-cut search produced an invalid witness {v1}")
     return v1

@@ -72,16 +72,20 @@ def brute_force_spanning_trees(g: WeightedGraph):
     return trees
 
 
-def brute_force_negative_cut_exists(g: WeightedGraph):
-    """Try every bipartition; a negative cut has a non-empty all-negative boundary."""
+def brute_force_negative_cut(g: WeightedGraph):
+    """First negative cut (sizes ascending, then lexicographic), or None.
+
+    Tries every bipartition; a negative cut has a non-empty all-negative
+    boundary.
+    """
     verts = list(range(1, g.n + 1))
     for size in range(1, g.n):
         for side in itertools.combinations(verts, size):
             v1 = set(side)
             crossing = [w for _, i, j, w in g.simple_edges() if (i in v1) != (j in v1)]
             if crossing and all(w < 0 for w in crossing):
-                return True
-    return False
+                return side
+    return None
 
 
 def characteristic_polynomial_exact(a):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from helpers import (
-    brute_force_negative_cut_exists,
+    brute_force_negative_cut,
     brute_force_spanning_trees,
     characteristic_polynomial_exact,
     random_positive_graph,
@@ -158,7 +158,7 @@ def test_criterion_07_duality():
         n = int(rng.integers(3, 9))
         g = random_signed_graph(rng, n, int(rng.integers(n - 1, n + 5)))
         tree = positive_spanning_tree(g)
-        negative_cut = brute_force_negative_cut_exists(g)
+        negative_cut = brute_force_negative_cut(g)
         assert (tree is not None) == (not negative_cut), f"trial {trial}: {g.edges}"
     _announce(7, "positive spanning tree exists iff exhaustive search finds no "
                  "negative cut, on 300 signed graphs")

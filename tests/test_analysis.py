@@ -1,9 +1,22 @@
 """The shared obstruction pipeline on matrices and graphs."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mesostab import WeightedGraph, analyze_graph, analyze_matrix, laplacian
+from mesostab import (
+    WeightedGraph,
+    analyze_graph,
+    analyze_matrix,
+    coates_graph,
+    cut_edges,
+    graph_components,
+    laplacian,
+)
+from mesostab.cli import _report_dict
 
 
 def test_passes_on_negated_positive_laplacian():
@@ -64,3 +77,67 @@ def test_graph_entry_point_matches_matrix_route():
     assert via_graph.verdict == via_matrix.verdict
     assert via_graph.negative_cut == via_matrix.negative_cut
     assert via_graph.spanning_forest == via_matrix.spanning_forest
+
+
+@st.composite
+def signed_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    weights = draw(st.lists(
+        st.integers(min_value=-3, max_value=3).filter(bool), min_size=len(chosen), max_size=len(chosen),
+    ))
+    return WeightedGraph(n, tuple((i, j, float(w)) for (i, j), w in zip(chosen, weights)))
+
+
+@st.composite
+def zero_row_sum_matrices(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    upper = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                          min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    a = np.zeros((n, n))
+    a[np.triu_indices(n, 1)] = upper
+    a = a + a.T
+    np.fill_diagonal(a, -a.sum(axis=1))
+    return a
+
+
+def assert_witnesses_reverify(a, report):
+    """Every witness the JSON report cites re-verifies against ``a`` and its graph."""
+    d = _report_dict(report)
+    g = coates_graph(a)
+    neg = -a
+    for verdict in (d["definiteness"], d["full_sweep"]):
+        witness = verdict and verdict["witness"]
+        if not witness:
+            continue
+        if witness["type"] == "minor":
+            s = [v - 1 for v in witness["subset"]]
+            recomputed = np.linalg.det(neg[np.ix_(s, s)])
+        else:
+            v = np.array(witness["vector"])
+            recomputed = v @ neg @ v
+        assert witness["value"] != 0 and np.sign(recomputed) == np.sign(witness["value"])
+    forest, cut = d["positive_spanning_forest"], d["negative_cut"]
+    assert (forest is None) == (cut is not None)
+    if cut is not None:
+        crossing = [tuple(e) for e in cut["crossing_edges"]]
+        assert crossing == list(cut_edges(g, cut["vertices"]).edge_tuples())
+        assert crossing and all(w < 0 for _, _, w in crossing)
+    else:
+        assert all(i != j and w > 0 for i, j, w in forest)
+        components = graph_components(g)
+        assert graph_components(WeightedGraph(g.n, tuple(map(tuple, forest)))) == components
+        assert len(forest) == g.n - len(components)
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_graphs())
+def test_graph_report_witnesses_reverify(g):
+    assert_witnesses_reverify(-laplacian(g), analyze_graph(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_row_sum_matrices())
+def test_matrix_report_witnesses_reverify(a):
+    assert_witnesses_reverify(a, analyze_matrix(a))

@@ -1,5 +1,6 @@
 """Oscillator systems: equilibria, linearizations, and stability verdicts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,26 @@ def random_system(rng, n):
     omega = rng.normal(scale=0.2, size=n)
     omega -= omega.mean()
     return KuramotoSystem(omega, b)
+
+
+def _components(n, pairs):
+    """Vertex sets (0-based) of the graph on ``range(n)`` with edges ``pairs``, by flood fill."""
+    adj = {v: set() for v in range(n)}
+    for i, j in pairs:
+        adj[i].add(j)
+        adj[j].add(i)
+    seen, comps = set(), []
+    for v in range(n):
+        if v in seen:
+            continue
+        stack, comp = [v], {v}
+        while stack:
+            for w in adj[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
 
 
 class TestSystemValidation:
@@ -230,6 +251,34 @@ class TestSpanningPhaseCondition:
     def test_anti_lock_false(self):
         sys_ = two_node()
         assert not spanning_phase_condition(sys_, np.array([math.pi - math.asin(0.5), 0.0]))
+
+    @pytest.mark.parametrize("length", [5, 2])
+    def test_rejects_phase_vector_of_wrong_length(self, length):
+        sys_ = KuramotoSystem(np.zeros(3), np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(ValueError, match=r"phase vector has shape \(%d,\), expected \(3,\)" % length):
+            spanning_phase_condition(sys_, np.zeros(length))
+
+    def test_matches_bipartition_oracle_on_random_phases(self):
+        # every bipartition of every coupling component must be crossed by a
+        # coupled pair within pi/2 of phase; phases need not be an equilibrium
+        rng = np.random.default_rng(109)
+        outcomes = set()
+        for _ in range(150):
+            n = int(rng.integers(1, 8))
+            b = np.triu(rng.uniform(0.5, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.5), 1)
+            sys_ = KuramotoSystem(np.zeros(n), b + b.T)
+            x = rng.uniform(-2 * math.pi, 4 * math.pi, size=n) * rng.uniform(0.05, 1.0)
+            coupled = [(i, j) for i in range(n) for j in range(i + 1, n) if b[i, j] > 0]
+            near = {(i, j) for i, j in coupled if abs(wrap_to_pi(x[j] - x[i])) < math.pi / 2}
+            expected = True
+            for comp in _components(n, coupled):
+                for size in range(1, len(comp)):
+                    for side in itertools.combinations(comp, size):
+                        if not any((i in side) != (j in side) for i, j in near):
+                            expected = False
+            outcomes.add(expected)
+            assert spanning_phase_condition(sys_, x) == expected
+        assert outcomes == {True, False}
 
     def test_matches_tree_diagnostic_on_random_equilibria(self):
         rng = np.random.default_rng(103)

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import (
     brute_force_has_cycle,
-    brute_force_negative_cut_exists,
+    brute_force_negative_cut,
     random_positive_graph,
     random_signed_graph,
 )
@@ -99,12 +99,16 @@ class TestNegativeCut:
         assert crossing and all(w < 0 for w in crossing)
 
     def test_duality_against_exhaustive_enumeration(self):
-        rng = np.random.default_rng(71)
-        for _ in range(60):
-            n = int(rng.integers(3, 9))
-            g = random_signed_graph(rng, n, int(rng.integers(n - 1, n + 5)))
-            tree = positive_spanning_tree(g)
-            assert (tree is not None) == (not brute_force_negative_cut_exists(g))
+        # the cut found is also the first one in (size, lexicographic) order
+        for connected in (True, False):
+            rng = np.random.default_rng(71)
+            for _ in range(60):
+                n = int(rng.integers(3, 9))
+                g = random_signed_graph(rng, n, int(rng.integers(n - 1, n + 5)), connected)
+                tree = positive_spanning_tree(g)
+                expected = brute_force_negative_cut(g)
+                assert (tree is not None) == (expected is None)
+                assert find_negative_cut(g) == expected
 
 
 class TestCutDecomposition:
