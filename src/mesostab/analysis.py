@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import WeightedGraph, coates_graph, cut_edges, graph_components, laplacian
+from .graphs import WeightedGraph, coates_graph, cut_edges, laplacian
 from .numerics import REL_TOL, eigen_rank, require_symmetric, require_zero_row_sums
 from .structure import (
     LineBoundReport,
@@ -85,8 +85,7 @@ def analyze_matrix(a: np.ndarray, *, rel: float = REL_TOL, n_max: int = DEFAULT_
             notes.append(f"exhaustive minor sweep skipped: n={n} exceeds n_max={n_max}")
 
     g = coates_graph(a, zero_tol=zero_tol)
-    components = required_components if required_components is not None else graph_components(g)
-    forest = _positive_spanning_forest(g, components)
+    forest = _positive_spanning_forest(g, required_components)
     spanning = tuple(g.edges[idx] for idx in forest.sorted_members()) if forest is not None else None
     cut = find_negative_cut(g) if forest is None else None
     cut_edges_list = cut_edges(g, cut).edge_tuples() if cut is not None else ()

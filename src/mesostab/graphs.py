@@ -9,11 +9,73 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .numerics import REL_TOL, has_zero_row_sums, require_symmetric
+
+
+class _EdgeArrays(NamedTuple):
+    """Edge columns in edge-index order: 0-based endpoints with i <= j, and weights."""
+
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+
+
+def _label(v, top: int) -> int:
+    """-1 for a vertex label that is not an integer (bool is not); an integer
+    clamped to 0..top, which keeps its range verdict and fits int64."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return min(max(int(v), 0), top)
+    return -1
+
+
+def _to_float(v) -> float:
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        return math.nan  # reported by the validator, which repeats float(v) to raise the real error
+
+
+def _validated(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, bad_label=None, raw=None
+               ) -> tuple[tuple[tuple[int, int, float], ...], _EdgeArrays]:
+    """Canonical edge tuple and edge arrays for 1-based endpoints ``i``, ``j``.
+
+    The first bad edge in list order is reported, with the first check it
+    fails: vertex labels (``bad_label``), then range, weight, and whether it
+    repeats an earlier pair. ``raw`` holds the edges as the caller gave them,
+    for the messages.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    bad_range = (i < 1) | (i > n) | (j < 1) | (j > n)
+    bad = bad_range | ~np.isfinite(w) | (w == 0.0)
+    if bad_label is not None:
+        bad |= bad_label
+    first = int(np.argmax(bad)) if bad.any() else len(w)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # Edges before ``first`` are valid, so their keys are exact; a repeat among
+    # them comes before the first bad edge.
+    key = lo[:first] * (n + 1) + hi[:first]
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if repeats.size:
+        k = int(repeats.min())
+        raise ValueError(f"duplicate edge {{{int(lo[k])},{int(hi[k])}}}")
+    if first < len(w):
+        ri, rj, rw = raw[first] if raw is not None else (int(i[first]), int(j[first]), w[first])
+        if bad_label is not None and bad_label[first]:
+            raise ValueError(f"edge ({ri},{rj}) has a non-integer vertex label")
+        if bad_range[first]:
+            raise ValueError(f"edge ({ri},{rj}) uses a vertex outside 1..{n}")
+        raise ValueError(f"edge ({ri},{rj}) has invalid weight {float(rw)}")
+    edges = tuple(zip(lo.tolist(), hi.tolist(), w.tolist()))
+    arrays = _EdgeArrays(lo - 1, hi - 1, w.copy())
+    for a in arrays:
+        a.flags.writeable = False
+    return edges, arrays
 
 
 @dataclass(frozen=True)
@@ -22,29 +84,34 @@ class WeightedGraph:
 
     Edges are stored as (i, j, w) with i <= j; the order of the edge list is
     preserved and edge indices (0-based positions in ``edges``) identify
-    edges throughout the package.
+    edges throughout the package. Vertex labels must be integers (bool is
+    not). The same edges are also held as read-only arrays (``_arrays``),
+    which take no part in equality or repr.
     """
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
-        canon = []
-        seen = set()
-        for i, j, w in self.edges:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i},{j}) uses a vertex outside 1..{self.n}")
-            w = float(w)
-            if w == 0.0 or not math.isfinite(w):
-                raise ValueError(f"edge ({i},{j}) has invalid weight {w}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"duplicate edge {{{key[0]},{key[1]}}}")
-            seen.add(key)
-            canon.append((key[0], key[1], w))
-        object.__setattr__(self, "edges", tuple(canon))
+        raw = [(i, j, w) for i, j, w in self.edges]
+        top = self.n + 1
+        ends = [v if type(v) is int and 0 <= v <= top else _label(v, top) for e in raw for v in e[:2]]
+        ij = np.array(ends, dtype=np.int64).reshape(-1, 2)
+        w = np.array([w if type(w) is float else _to_float(w) for _, _, w in raw], dtype=float)
+        edges, arrays = _validated(self.n, ij[:, 0], ij[:, 1], w, (ij < 0).any(axis=1), raw)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_arrays", arrays)
+
+    @classmethod
+    def _from_columns(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> WeightedGraph:
+        """Graph on 0-based endpoint arrays ``i`` <= ``j``, validated like the constructor."""
+        g = object.__new__(cls)
+        edges, arrays = _validated(n, np.asarray(i, dtype=np.int64) + 1, np.asarray(j, dtype=np.int64) + 1,
+                                   np.asarray(w, dtype=float))
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "_arrays", arrays)
+        return g
 
     @property
     def vertices(self) -> range:
@@ -63,30 +130,27 @@ class WeightedGraph:
 
     def adjacency(self) -> np.ndarray:
         """Weighted adjacency matrix; loop weights land on the diagonal."""
+        i, j, w = self._arrays
         a = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            if i == j:
-                a[i - 1, i - 1] = w
-            else:
-                a[i - 1, j - 1] = w
-                a[j - 1, i - 1] = w
+        a[i, j] = w
+        a[j, i] = w
         return a
 
     def degree_map(self) -> dict[int, int]:
         """Number of incident non-loop edges per vertex."""
-        deg = {v: 0 for v in self.vertices}
-        for _, i, j, _ in self.simple_edges():
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return dict(zip(self.vertices, _degrees(self).tolist()))
 
-    def neighbor_map(self) -> dict[int, list[tuple[int, int]]]:
-        """vertex -> list of (neighbor, edge index), loops excluded."""
-        nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertices}
-        for idx, i, j, _ in self.simple_edges():
-            nbrs[i].append((j, idx))
-            nbrs[j].append((i, idx))
-        return nbrs
+
+def _simple_columns(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Edge indices, 0-based endpoints and weights of the non-loop edges."""
+    i, j, w = g._arrays
+    idx = np.flatnonzero(i != j)
+    return idx, i[idx], j[idx], w[idx]
+
+
+def _degrees(g: WeightedGraph) -> np.ndarray:
+    _, i, j, _ = _simple_columns(g)
+    return np.bincount(np.concatenate([i, j]), minlength=g.n)
 
 
 @dataclass(frozen=True)
@@ -158,22 +222,16 @@ def coates_graph(a: np.ndarray, zero_tol: float = 0.0) -> WeightedGraph:
     pass a small cutoff such as 1e-12.
     """
     a = require_symmetric(a)
-    n = a.shape[0]
-    edges = []
-    for i in range(n):
-        for j in range(i, n):
-            v = a[i, j]
-            if abs(v) > zero_tol:
-                edges.append((i + 1, j + 1, float(v)))
-    return WeightedGraph(n, tuple(edges))
+    i, j = np.nonzero(np.triu(np.abs(a) > zero_tol))
+    return WeightedGraph._from_columns(a.shape[0], i, j, a[i, j])
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Laplacian D - A of the loop-free part of ``g``; row sums are zero."""
+    _, i, j, w = _simple_columns(g)
     a = np.zeros((g.n, g.n))
-    for _, i, j, w in g.simple_edges():
-        a[i - 1, j - 1] = w
-        a[j - 1, i - 1] = w
+    a[i, j] = w
+    a[j, i] = w
     d = np.diag(a.sum(axis=1))
     return d - a
 
@@ -197,6 +255,9 @@ def incidence_factorization(g: WeightedGraph) -> OrientedIncidence:
 
 
 class _UnionFind:
+    """Dict union-find for the small edge subsets of the forest oracles,
+    where numpy's per-call overhead would dominate."""
+
     def __init__(self, labels: Iterable[int]):
         self.parent = {v: v for v in labels}
 
@@ -248,9 +309,10 @@ def cut_edges(g: WeightedGraph, v1: Iterable[int]) -> EdgeSubset:
     side = _vertex_subset(v1, g.n)
     if not side or len(side) == g.n:
         raise ValueError("cut requires a partition with two non-empty sides")
-    s = set(side)
-    members = frozenset(idx for idx, i, j, _ in g.simple_edges() if (i in s) != (j in s))
-    return EdgeSubset(g, members)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[np.array(side) - 1] = True
+    idx, i, j, _ = _simple_columns(g)
+    return EdgeSubset(g, frozenset(idx[inside[i] != inside[j]].tolist()))
 
 
 def induced_lines(g: WeightedGraph) -> list[EdgeSubset]:
@@ -261,36 +323,38 @@ def induced_lines(g: WeightedGraph) -> list[EdgeSubset]:
     line is maximal when neither endpoint can absorb another degree-2 step.
     Pure cycles contain no lines.
     """
-    deg = g.degree_map()
-    nbrs = g.neighbor_map()
-    edge_lookup = {}
-    for idx, i, j, _ in g.simple_edges():
-        edge_lookup[(i, j)] = idx
-        edge_lookup[(j, i)] = idx
-    anchors = [v for v in g.vertices if deg[v] != 2 and deg[v] > 0]
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-    for u in anchors:
-        for first, first_edge in nbrs[u]:
-            path = [u, first]
-            chain = [first_edge]
-            prev, cur = u, first
-            ok = True
-            while deg[cur] == 2:
-                nxt = next((t, e) for t, e in nbrs[cur] if t != prev)
-                if nxt[0] in path:
-                    ok = False  # walked back into the path: pinched cycle
-                    break
-                path.append(nxt[0])
-                chain.append(nxt[1])
-                prev, cur = cur, nxt[0]
-            if not ok or len(chain) < 2:
-                continue
-            if (path[0], path[-1]) in edge_lookup:
-                continue  # chord between the endpoints closes a cycle
-            found[frozenset(chain)] = tuple(chain)
-    lines = [EdgeSubset(g, members) for members in found]
-    lines.sort(key=lambda es: es.sorted_members())
-    return lines
+    deg = _degrees(g)
+    if not (deg == 2).any():
+        return []
+    idx, i, j, _ = _simple_columns(g)
+    # Half-edges (vertex, neighbour, edge index) grouped by vertex, in edge order.
+    src = np.stack([i, j], axis=1).ravel()
+    order = np.argsort(src, kind="stable")
+    src = src[order]
+    dst = np.stack([j, i], axis=1).ravel()[order]
+    eid = np.repeat(idx, 2)[order]
+    first = np.concatenate([[0], np.cumsum(deg)[:-1]])
+    # Walks start at an anchor (degree other than 2) towards a degree-2 neighbour.
+    starts = np.flatnonzero((deg[src] != 2) & (deg[dst] == 2)).tolist()
+    two = (deg == 2).tolist()
+    first, src, dst, eid = first.tolist(), src.tolist(), dst.tolist(), eid.tolist()
+    pairs = set(zip(i.tolist(), j.tolist()))
+    found = set()
+    for k in starts:
+        u, prev, cur = src[k], src[k], dst[k]
+        chain = [eid[k]]
+        path = {u, cur}
+        while two[cur]:
+            h = first[cur] if dst[first[cur]] != prev else first[cur] + 1
+            prev, cur = cur, dst[h]
+            if cur in path:
+                break  # walked back into the path: pinched cycle
+            path.add(cur)
+            chain.append(eid[h])
+        else:
+            if (min(u, cur), max(u, cur)) not in pairs:  # a chord between the endpoints closes a cycle
+                found.add(tuple(sorted(chain)))
+    return [EdgeSubset(g, frozenset(members)) for members in sorted(found)]
 
 
 def _vertex_subset(s: Iterable[int], n: int, allow_empty: bool = True) -> tuple[int, ...]:
@@ -305,7 +369,54 @@ def _vertex_subset(s: Iterable[int], n: int, allow_empty: bool = True) -> tuple[
 
 def graph_components(g: WeightedGraph) -> list[frozenset[int]]:
     """Components of the whole graph; isolated vertices form singletons."""
-    uf = _UnionFind(g.vertices)
-    for _, i, j, _ in g.simple_edges():
-        uf.union(i, j)
-    return uf.groups()
+    _, i, j, _ = _simple_columns(g)
+    labels, _ = _index_forest(g.n, i, j)
+    # Labels name each class's smallest vertex, so sorting by label orders the classes.
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [frozenset(part.tolist()) for part in np.split(order + 1, cuts)] if g.n else []
+
+
+def _index_forest(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes and spanning forest of the edges (i, j) on vertices 0..n-1.
+
+    Returns each vertex's class label (the smallest vertex of its class) and
+    the positions of the forest edges, ascending. The forest is the one a
+    union-find keeps when it takes the edges in array order: weighted by its
+    position, each edge has a distinct weight, so that forest is the unique
+    minimum spanning forest, which Boruvka rounds reach by letting every class
+    take its least-position outgoing edge. Each round at least halves the
+    number of classes that still have an outgoing edge.
+    """
+    labels = np.arange(n)
+    pos = np.arange(len(i))
+    chosen = np.zeros(len(i), dtype=bool)
+    while True:
+        li, lj = labels[i[pos]], labels[j[pos]]
+        out = li != lj
+        if not out.any():
+            break
+        pos, li, lj = pos[out], li[out], lj[out]
+        best = np.full(n, len(i))
+        np.minimum.at(best, li, pos)
+        np.minimum.at(best, lj, pos)
+        cls = np.flatnonzero(best < len(i))
+        e = best[cls]
+        ei, ej = labels[i[e]], labels[j[e]]
+        other = np.where(ei == cls, ej, ei)
+        parent = np.arange(n)
+        parent[cls] = other
+        # Two classes that took the same edge point at each other; the smaller becomes the root.
+        root = cls[(parent[other] == cls) & (cls < other)]
+        parent[root] = root
+        while True:
+            hop = parent[parent]
+            if np.array_equal(hop, parent):
+                break
+            parent = hop
+        labels = parent[labels]
+        chosen[e] = True
+    smallest = np.full(n, n)
+    np.minimum.at(smallest, labels, np.arange(n))
+    return smallest[labels], np.flatnonzero(chosen)
+

@@ -20,6 +20,7 @@ from .analysis import ARITHMETIC_ZERO_TOL, DEGENERATE, StabilityReport, analyze_
 from .graphs import WeightedGraph, coates_graph, graph_components
 from .numerics import REL_TOL
 from .structure import positive_spanning_tree
+from .sylvester import DEFAULT_N_MAX
 
 logger = logging.getLogger(__name__)
 
@@ -70,15 +71,11 @@ class KuramotoSystem:
         return float(self.omega.mean())
 
     def coupling_edges(self) -> list[tuple[int, int, float]]:
-        return [
-            (i + 1, j + 1, float(self.b[i, j]))
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.b[i, j] > 0
-        ]
+        return list(self.coupling_graph().edges)
 
     def coupling_graph(self) -> WeightedGraph:
-        return WeightedGraph(self.n, tuple(self.coupling_edges()))
+        i, j = np.nonzero(np.triu(self.b > 0, 1))
+        return WeightedGraph._from_columns(self.n, i, j, self.b[i, j])
 
 
 def wrap_phases(x) -> np.ndarray:
@@ -191,7 +188,7 @@ def spanning_phase_condition(sys: KuramotoSystem, xstar) -> bool:
 
 
 def classify_stability(sys: KuramotoSystem, xstar, *, rel: float = REL_TOL,
-                       n_max: int = 20) -> StabilityReport:
+                       n_max: int = DEFAULT_N_MAX) -> StabilityReport:
     """Full obstruction pipeline at an equilibrium.
 
     Degenerate linearizations (zero eigenvalue not simple) are reported as

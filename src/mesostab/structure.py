@@ -12,14 +12,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .graphs import (
     EdgeSubset,
     WeightedGraph,
-    _UnionFind,
+    _index_forest,
+    _simple_columns,
     _vertex_subset,
     connected_components,
     cut_edges,
-    graph_components,
     induced_lines,
     laplacian,
 )
@@ -29,12 +31,17 @@ from .numerics import REL_TOL, GuardLimitError
 CUT_GUARD = 20
 
 
-def _positive_union_find(g: WeightedGraph) -> tuple[_UnionFind, list[int]]:
-    """Union-find over the positive edges of ``g`` (taken in index order) and
-    the forest edges it joined; its classes are the positive components."""
-    uf = _UnionFind(g.vertices)
-    forest = [idx for idx, i, j, w in g.simple_edges() if w > 0 and uf.union(i, j)]
-    return uf, forest
+def _positive_forest(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the positive-edge subgraph of ``g`` and its spanning forest.
+
+    Returns each vertex's class label (the smallest vertex of its class,
+    0-based) and the forest's edge indices, ascending: the forest a
+    union-find keeps when it takes the positive edges in index order.
+    """
+    idx, i, j, w = _simple_columns(g)
+    positive = w > 0
+    labels, forest = _index_forest(g.n, i[positive], j[positive])
+    return labels, idx[positive][forest]
 
 
 def _positive_spanning_forest(g: WeightedGraph, components: Optional[list[frozenset[int]]] = None
@@ -44,12 +51,15 @@ def _positive_spanning_forest(g: WeightedGraph, components: Optional[list[frozen
     ``components`` defaults to the components of ``g`` itself; passing a
     coarser partition demands that positive edges alone span each part.
     """
+    labels, forest = _positive_forest(g)
     if components is None:
-        components = graph_components(g)
-    uf, forest = _positive_union_find(g)
-    if any(len({uf.find(v) for v in comp}) > 1 for comp in components):
-        return None
-    return EdgeSubset(g, frozenset(forest))
+        # g's components are spanned iff no edge joins two positive classes
+        _, i, j, _ = _simple_columns(g)
+        spanned = bool(np.all(labels[i] == labels[j]))
+    else:
+        label = labels.tolist()
+        spanned = all(len({label[v - 1] for v in _vertex_subset(comp, g.n)}) <= 1 for comp in components)
+    return EdgeSubset(g, frozenset(forest.tolist())) if spanned else None
 
 
 def positive_spanning_tree(g: WeightedGraph) -> Optional[EdgeSubset]:
@@ -71,16 +81,21 @@ def find_negative_cut(g: WeightedGraph) -> Optional[tuple[int, ...]]:
     returned, ties broken lexicographically. Returns None when every
     component has a positive spanning tree.
     """
-    uf, _ = _positive_union_find(g)
-    left = set()
-    for _, i, j, _ in g.simple_edges():
-        ri, rj = uf.find(i), uf.find(j)
-        if ri != rj:
-            left.update((ri, rj))
-    candidates = [tuple(sorted(c)) for c in uf.groups() if uf.find(min(c)) in left]
-    if not candidates:
+    labels, _ = _positive_forest(g)
+    _, i, j, _ = _simple_columns(g)
+    li, lj = labels[i], labels[j]
+    leaving = li != lj
+    if not leaving.any():
         return None
-    v1 = min(candidates, key=lambda t: (len(t), t))
+    left = np.zeros(g.n, dtype=bool)
+    left[li[leaving]] = True
+    left[lj[leaving]] = True
+    candidates = np.flatnonzero(left)
+    sizes = np.bincount(labels, minlength=g.n)[candidates]
+    # A class's label is its smallest vertex, so among equal sizes the
+    # smallest label is the lexicographically smallest vertex tuple.
+    c = candidates[sizes == sizes.min()][0]
+    v1 = tuple((np.flatnonzero(labels == c) + 1).tolist())
     crossing = cut_edges(g, v1).edge_tuples()
     if not crossing or any(w >= 0 for _, _, w in crossing):
         raise AssertionError(f"negative-cut search produced an invalid witness {v1}")

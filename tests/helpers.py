@@ -3,13 +3,18 @@
 The oracles here deliberately avoid the package's own code paths: spanning
 trees come from raw subset enumeration, cycles from a recursive DFS, cuts
 from trying every bipartition, and characteristic polynomials from exact
-rational Faddeev-LeVerrier recursion.
+rational Faddeev-LeVerrier recursion. The array-backed graph layer is
+checked against the per-edge loops it replaced: the double-loop Coates
+graph, a greedy dict union-find for components, the positive forest and the
+negative cut, and the neighbour-dict walk for induced lines.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from mesostab import WeightedGraph
 from mesostab.selftest import random_signed_graph, random_zero_row_sum_matrix
@@ -113,3 +118,107 @@ def characteristic_polynomial_exact(a):
         trace = sum(prod[i][i] for i in range(n))
         coeffs.append(-trace / k)
     return coeffs
+
+
+def loop_coates_graph(a, zero_tol=0.0):
+    """Coates graph by a double loop over the upper triangle."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    edges = []
+    for i in range(n):
+        for j in range(i, n):
+            v = a[i, j]
+            if abs(v) > zero_tol:
+                edges.append((i + 1, j + 1, float(v)))
+    return WeightedGraph(n, tuple(edges))
+
+
+class _DictUnionFind:
+    def __init__(self, labels):
+        self.parent = {v: v for v in labels}
+
+    def find(self, v):
+        p = self.parent
+        while p[v] != v:
+            p[v] = p[p[v]]
+            v = p[v]
+        return v
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+    def groups(self):
+        classes = {}
+        for v in self.parent:
+            classes.setdefault(self.find(v), set()).add(v)
+        return [frozenset(c) for c in sorted(classes.values(), key=min)]
+
+
+def greedy_components(g: WeightedGraph):
+    uf = _DictUnionFind(g.vertices)
+    for _, i, j, _ in g.simple_edges():
+        uf.union(i, j)
+    return uf.groups()
+
+
+def _greedy_positive(g: WeightedGraph):
+    uf = _DictUnionFind(g.vertices)
+    forest = [idx for idx, i, j, w in g.simple_edges() if w > 0 and uf.union(i, j)]
+    return uf, forest
+
+
+def greedy_positive_forest(g: WeightedGraph, components=None):
+    """Sorted edge indices of the greedy positive forest, or None when it
+    leaves a part of ``components`` (default: g's components) unspanned."""
+    if components is None:
+        components = greedy_components(g)
+    uf, forest = _greedy_positive(g)
+    if any(len({uf.find(v) for v in comp}) > 1 for comp in components):
+        return None
+    return tuple(sorted(forest))
+
+
+def greedy_negative_cut(g: WeightedGraph):
+    """Smallest (then lexicographically first) positive class that an edge leaves."""
+    uf, _ = _greedy_positive(g)
+    left = set()
+    for _, i, j, _ in g.simple_edges():
+        ri, rj = uf.find(i), uf.find(j)
+        if ri != rj:
+            left.update((ri, rj))
+    candidates = [tuple(sorted(c)) for c in uf.groups() if uf.find(min(c)) in left]
+    return min(candidates, key=lambda t: (len(t), t)) if candidates else None
+
+
+def walk_induced_lines(g: WeightedGraph):
+    """Sorted member tuples of the maximal induced lines, walking neighbour dicts."""
+    deg = {v: 0 for v in g.vertices}
+    nbrs = {v: [] for v in g.vertices}
+    edge_lookup = set()
+    for idx, i, j, _ in g.simple_edges():
+        deg[i] += 1
+        deg[j] += 1
+        nbrs[i].append((j, idx))
+        nbrs[j].append((i, idx))
+        edge_lookup.update({(i, j), (j, i)})
+    found = set()
+    for u in (v for v in g.vertices if deg[v] != 2 and deg[v] > 0):
+        for first, first_edge in nbrs[u]:
+            path, chain = [u, first], [first_edge]
+            prev, cur = u, first
+            ok = True
+            while deg[cur] == 2:
+                nxt = next((t, e) for t, e in nbrs[cur] if t != prev)
+                if nxt[0] in path:
+                    ok = False
+                    break
+                path.append(nxt[0])
+                chain.append(nxt[1])
+                prev, cur = cur, nxt[0]
+            if ok and len(chain) >= 2 and (path[0], path[-1]) not in edge_lookup:
+                found.add(tuple(sorted(chain)))
+    return sorted(found)

@@ -69,6 +69,37 @@ class TestWeightedGraph:
         g = WeightedGraph(3, ((3, 1, 2.0),))
         assert g.edges == ((1, 3, 2.0),)
 
+    @pytest.mark.parametrize("edge", [(1.5, 2, 1.0), (True, 2, 1.0), (1, np.float64(2.0), 1.0), (1, "2", 1.0)])
+    def test_rejects_non_integer_vertex_label(self, edge):
+        with pytest.raises(ValueError, match=r"non-integer vertex label") as info:
+            WeightedGraph(3, ((1, 3, 1.0), edge, (9, 9, 1.0)))
+        assert f"edge ({edge[0]},{edge[1]})" in str(info.value)
+
+    def test_numpy_integer_labels_are_stored_as_int(self):
+        g = WeightedGraph(3, ((np.int64(3), np.int32(1), 2.0),))
+        assert g.edges == ((1, 3, 2.0),)
+        assert all(type(v) is int for v in g.edges[0][:2])
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, ((1, 2, 1.0), (1, 5, 1.0), (2, 3, 0.0)), "edge (1,5) uses a vertex outside 1..3"),
+        (3, ((1, 2, 1.0), (2, 3, float("nan")), (1, 5, 1.0)), "edge (2,3) has invalid weight nan"),
+        (3, ((1, 2, 1.0), (2, 1, 2.0), (1, 5, 0.0)), "duplicate edge {1,2}"),
+        (3, ((1, 5, 0.0),), "edge (1,5) uses a vertex outside 1..3"),
+        (3, ((0, 1, 1.0),), "edge (0,1) uses a vertex outside 1..3"),
+        (3, ((1, 2, 1.0), (2, 1, 0.0)), "edge (2,1) has invalid weight 0.0"),
+        (3, ((1, 2, -0.0),), "edge (1,2) has invalid weight -0.0"),
+        (3, ((1, 2, 1.0), (3, 3, float("inf")), (2, 1, 1.0)), "edge (3,3) has invalid weight inf"),
+        (3, ((2, 3, 1.0), (1, 1, 1.0), (3, 2, 1.0), (1, 1, 2.0)), "duplicate edge {2,3}"),
+        (3, ((2, 3, 1.0), (1, 1, 1.0), (1, 1, 2.0), (3, 2, 1.0)), "duplicate edge {1,1}"),
+        (3, ((1, 2, 1.0), (1, 9, "abc"), (1, 2, 1.0)), "edge (1,9) uses a vertex outside 1..3"),
+        (3, ((1, 2, 1.0), (1, 3, "abc")), "could not convert string to float: 'abc'"),
+        (2, ((1, 2, 1.0), (1, 2, 1.0), (2, 2, 0.0), (1, 3, 1.0)), "duplicate edge {1,2}"),
+    ])
+    def test_reports_first_bad_edge_with_its_first_failing_check(self, n, edges, message):
+        with pytest.raises(ValueError) as info:
+            WeightedGraph(n, edges)
+        assert str(info.value) == message
+
 
 class TestCoatesGraph:
     def test_intro_example(self):
