@@ -207,11 +207,14 @@ def _cmd_verify_identity(args) -> int:
     path = Path(args.input)
     g = parse_edge_list(path.read_text())
     started = time.perf_counter()
-    if args.v1:
+    if args.v1 is not None:
         try:
-            sides = [tuple(int(tok) for tok in args.v1.split(","))]
+            side = tuple(int(tok) for tok in args.v1.split(","))
         except ValueError:
             raise ValueError(f"--v1 must be comma-separated vertex labels, got {args.v1!r}") from None
+        if len(set(side)) < len(side):
+            raise ValueError(f"--v1 must not repeat a vertex label, got {args.v1!r}")
+        sides = [side]
     else:
         if g.n > 12:
             raise GuardLimitError(

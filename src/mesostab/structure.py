@@ -7,6 +7,7 @@ Loops are ignored by every operation here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -102,30 +103,39 @@ def find_negative_cut(g: WeightedGraph) -> Optional[tuple[int, ...]]:
     return v1
 
 
-def _sigma_family(g: WeightedGraph, v1: frozenset[int], b: tuple[int, ...]) -> list[frozenset[int]]:
-    """Forests of crossing edges whose side-1 endpoints are exactly ``b``.
-
-    Each vertex of ``b`` contributes exactly one of its crossing edges, so
-    the family is the product of the per-vertex choices; the empty ``b``
-    yields the family holding only the empty edge set.
-    """
-    incident = {v: [] for v in b}
+def _crossing_pools(g: WeightedGraph, v1: frozenset[int]) -> dict[int, list[int]]:
+    """Each side-1 vertex's crossing edges, by ascending index; loops ignored."""
+    pools: dict[int, list[int]] = {v: [] for v in v1}
     for idx, i, j, _ in g.simple_edges():
         if (i in v1) != (j in v1):
-            inside = i if i in v1 else j
-            if inside in incident:
-                incident[inside].append(idx)
-    pools = [sorted(incident[v]) for v in b]
-    if any(not pool for pool in pools):
+            pools[i if i in v1 else j].append(idx)
+    return pools
+
+
+def _sigma_family(pools: dict[int, list[int]], b: tuple[int, ...]) -> list[frozenset[int]]:
+    """Forests of crossing edges whose side-1 endpoints are exactly ``b``.
+
+    Each vertex of ``b`` contributes exactly one of its crossing edges (its
+    pool from ``_crossing_pools``), so the family is the product of the
+    per-vertex choices; the empty ``b`` yields the family holding only the
+    empty edge set.
+    """
+    chosen = [pools[v] for v in b]
+    if not all(chosen):
         return []
-    return [frozenset(choice) for choice in itertools.product(*pools)]
+    return [frozenset(choice) for choice in itertools.product(*chosen)]
 
 
-def _sigma_weight(g: WeightedGraph, v1: frozenset[int], b: tuple[int, ...]) -> float:
-    members = _sigma_family(g, v1, b)
-    if not members:
-        return 0.0
-    return math.fsum(math.prod(g.edges[e][2] for e in d) for d in members)
+@functools.lru_cache(maxsize=1)
+def _minor_table(g: WeightedGraph) -> tuple[np.ndarray, dict[tuple[int, ...], float]]:
+    """The Laplacian of ``g`` and its principal minors by subset, filled on demand.
+
+    Kept for the last graph only, so sweeping the cut identity over many
+    sides of one graph computes each minor once.
+    """
+    L = laplacian(g)
+    L.flags.writeable = False
+    return L, {}
 
 
 def _tee_family(g: WeightedGraph, v1: tuple[int, ...], b: tuple[int, ...]) -> list[frozenset[int]]:
@@ -179,15 +189,15 @@ def cut_decomposition(g: WeightedGraph, v1: Iterable[int], c: Iterable[int]) -> 
     removed = _vertex_subset(c, g.n)
     if not set(removed) <= set(side):
         raise ValueError("c must be a subset of v1")
-    v1set = frozenset(side)
     rest = tuple(sorted(set(side) - set(removed)))
+    pools = _crossing_pools(g, frozenset(side))
 
     sigma: dict[tuple[int, ...], tuple[EdgeSubset, ...]] = {}
     tee: dict[tuple[int, ...], tuple[EdgeSubset, ...]] = {}
     union: set[frozenset[int]] = set()
     for r in range(len(rest) + 1):
         for b in itertools.combinations(rest, r):
-            crossing = _sigma_family(g, v1set, b)
+            crossing = _sigma_family(pools, b)
             if not crossing:
                 continue
             marker = tuple(sorted(set(removed) | set(b)))
@@ -224,16 +234,23 @@ def cut_identity_terms(g: WeightedGraph, v1: Iterable[int]) -> list[float]:
         raise ValueError("v1 must be a proper non-empty vertex subset")
     if len(side) > CUT_GUARD:
         raise GuardLimitError(f"cut identity is guarded at |v1|={CUT_GUARD}, got {len(side)}")
-    v1set = frozenset(side)
-    L = laplacian(g)
+    pools = _crossing_pools(g, frozenset(side))
+    weights = [w for _, _, w in g.edges]
+    L, minors = _minor_table(g)
     terms = []
     for r in range(len(side) + 1):
         for c in itertools.combinations(side, r):
-            weight = _sigma_weight(g, v1set, c)
+            members = _sigma_family(pools, c)
+            weight = math.fsum(math.prod(weights[e] for e in d) for d in members)
             if weight == 0.0:
                 continue
-            rest = tuple(sorted(set(side) - set(c)))
-            minor = principal_minor_direct(L, rest) if rest else 1.0
+            rest = tuple(v for v in side if v not in c)
+            if not rest:
+                minor = 1.0
+            elif rest in minors:
+                minor = minors[rest]
+            else:
+                minor = minors[rest] = principal_minor_direct(L, rest)
             terms.append((-1.0) ** r * weight * minor)
     return terms
 

@@ -36,6 +36,10 @@ INDEFINITE = "indefinite"
 
 DEFAULT_N_MAX = 20
 
+# Subsets per batched determinant call in the exhaustive sweep; the stacked
+# submatrices then hold at most SWEEP_CHUNK * n^2 floats (12.5 MiB at n = 20).
+SWEEP_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class MinorWitness:
@@ -83,14 +87,31 @@ def _classify_by_eigenvalues(L: np.ndarray, rel: float = EIG_REL_TOL) -> tuple[s
     return kind, rank, w
 
 
+def _extend_combinations(prev: np.ndarray, n: int) -> np.ndarray:
+    """The (k+1)-subsets of range(n) from the k-subsets ``prev`` (one per row).
+
+    Each row is extended by every index above its last one, so lexicographic
+    rows in give lexicographic rows out: ``itertools.combinations`` order.
+    """
+    last = prev[:, -1] if prev.shape[1] else np.full(len(prev), -1, dtype=np.intp)
+    counts = n - 1 - last
+    rows = np.repeat(np.arange(len(prev)), counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    new = np.repeat(last + 1, counts) + (np.arange(rows.size) - starts)
+    return np.column_stack((prev[rows], new))
+
+
 def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL) -> DefinitenessVerdict:
     """Classify by the full sweep over all nonempty principal minors.
 
     Positive semi-definite means every principal minor clears ``-tol`` where
     tol scales with the Hadamard bound of each submatrix. The witness is the
     first subset, sizes ascending then lexicographic, whose minor breaks the
-    positive side (or, failing that, the negative side). The sweep is
-    refused above ``n_max`` since it takes 2^n - 1 determinants.
+    positive side (or, failing that, the negative side). The sweep visits
+    the subsets in that order, ``SWEEP_CHUNK`` at a time, and stops once
+    both sides are broken, since the verdict is then indefinite with the
+    positive-side witness. It is refused above ``n_max`` since it takes at
+    most 2^n - 1 determinants.
     """
     L = require_symmetric(L)
     n = L.shape[0]
@@ -102,32 +123,35 @@ def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL)
     first_neg_violation: Optional[MinorWitness] = None
     all_pos_strict = True
     all_neg_strict = True
+    combos = np.empty((1, 0), dtype=np.intp)
     for k in range(1, n + 1):
-        combos = np.array(list(itertools.combinations(range(n), k)))
-        subs = L[combos[:, :, None], combos[:, None, :]]
-        dets = np.linalg.det(subs)
-        tols = rel * np.prod(np.sqrt((subs * subs).sum(axis=2)), axis=1)
+        combos = _extend_combinations(combos, n)
         sign = -1.0 if k % 2 else 1.0
-        pos_bad = dets < -tols
-        neg_bad = sign * dets < -tols
-        if first_pos_violation is None and pos_bad.any():
-            at = int(np.argmax(pos_bad))
-            first_pos_violation = MinorWitness(tuple(int(v) + 1 for v in combos[at]), float(dets[at]))
-        if first_neg_violation is None and neg_bad.any():
-            at = int(np.argmax(neg_bad))
-            first_neg_violation = MinorWitness(tuple(int(v) + 1 for v in combos[at]), float(dets[at]))
-        if not (dets > tols).all():
-            all_pos_strict = False
-        if not (sign * dets > tols).all():
-            all_neg_strict = False
+        for start in range(0, len(combos), SWEEP_CHUNK):
+            cc = combos[start:start + SWEEP_CHUNK]
+            subs = L[cc[:, :, None], cc[:, None, :]]
+            dets = np.linalg.det(subs)
+            tols = rel * np.prod(np.sqrt((subs * subs).sum(axis=2)), axis=1)
+            pos_bad = dets < -tols
+            neg_bad = sign * dets < -tols
+            if first_pos_violation is None and pos_bad.any():
+                at = int(np.argmax(pos_bad))
+                first_pos_violation = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
+            if first_neg_violation is None and neg_bad.any():
+                at = int(np.argmax(neg_bad))
+                first_neg_violation = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
+            if first_pos_violation is not None and first_neg_violation is not None:
+                return DefinitenessVerdict(INDEFINITE, eigen_rank(L), first_pos_violation)
+            if not (dets > tols).all():
+                all_pos_strict = False
+            if not (sign * dets > tols).all():
+                all_neg_strict = False
     rank = eigen_rank(L)
     if first_pos_violation is None:
         kind = POSITIVE_DEFINITE if all_pos_strict else POSITIVE_SEMI_DEFINITE
         return DefinitenessVerdict(kind, rank)
-    if first_neg_violation is None:
-        kind = NEGATIVE_DEFINITE if all_neg_strict else NEGATIVE_SEMI_DEFINITE
-        return DefinitenessVerdict(kind, rank, first_pos_violation)
-    return DefinitenessVerdict(INDEFINITE, rank, first_pos_violation)
+    kind = NEGATIVE_DEFINITE if all_neg_strict else NEGATIVE_SEMI_DEFINITE
+    return DefinitenessVerdict(kind, rank, first_pos_violation)
 
 
 def _leading_minor_refusal(L: np.ndarray, rel: float) -> tuple[int, bool]:

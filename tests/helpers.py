@@ -6,17 +6,34 @@ from trying every bipartition, and characteristic polynomials from exact
 rational Faddeev-LeVerrier recursion. The array-backed graph layer is
 checked against the per-edge loops it replaced: the double-loop Coates
 graph, a greedy dict union-find for components, the positive forest and the
-negative cut, and the neighbour-dict walk for induced lines.
+negative cut, and the neighbour-dict walk for induced lines. The exhaustive
+minor sweep and the cut identity are checked against their one-shot forms:
+the sweep that stacks every subset of a size at once and runs to the end,
+and the identity that rescans the edges and recomputes every minor for each
+marker set.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
-from mesostab import WeightedGraph
+from mesostab import WeightedGraph, laplacian, principal_minor_direct
+from mesostab.graphs import _vertex_subset
+from mesostab.numerics import REL_TOL, eigen_rank, require_symmetric
+from mesostab.sylvester import (
+    INDEFINITE,
+    NEGATIVE_DEFINITE,
+    NEGATIVE_SEMI_DEFINITE,
+    POSITIVE_DEFINITE,
+    POSITIVE_SEMI_DEFINITE,
+    DefinitenessVerdict,
+    MinorWitness,
+)
 from mesostab.selftest import random_signed_graph, random_zero_row_sum_matrix
 
 
@@ -222,3 +239,70 @@ def walk_induced_lines(g: WeightedGraph):
             if ok and len(chain) >= 2 and (path[0], path[-1]) not in edge_lookup:
                 found.add(tuple(sorted(chain)))
     return sorted(found)
+
+
+def unchunked_sweep(L, rel=REL_TOL):
+    """The exhaustive principal-minor sweep in one batch per subset size, run to the end."""
+    L = require_symmetric(L)
+    n = L.shape[0]
+    first_pos_violation: Optional[MinorWitness] = None
+    first_neg_violation: Optional[MinorWitness] = None
+    all_pos_strict = True
+    all_neg_strict = True
+    for k in range(1, n + 1):
+        combos = np.array(list(itertools.combinations(range(n), k)))
+        subs = L[combos[:, :, None], combos[:, None, :]]
+        dets = np.linalg.det(subs)
+        tols = rel * np.prod(np.sqrt((subs * subs).sum(axis=2)), axis=1)
+        sign = -1.0 if k % 2 else 1.0
+        pos_bad = dets < -tols
+        neg_bad = sign * dets < -tols
+        if first_pos_violation is None and pos_bad.any():
+            at = int(np.argmax(pos_bad))
+            first_pos_violation = MinorWitness(tuple(int(v) + 1 for v in combos[at]), float(dets[at]))
+        if first_neg_violation is None and neg_bad.any():
+            at = int(np.argmax(neg_bad))
+            first_neg_violation = MinorWitness(tuple(int(v) + 1 for v in combos[at]), float(dets[at]))
+        if not (dets > tols).all():
+            all_pos_strict = False
+        if not (sign * dets > tols).all():
+            all_neg_strict = False
+    rank = eigen_rank(L)
+    if first_pos_violation is None:
+        kind = POSITIVE_DEFINITE if all_pos_strict else POSITIVE_SEMI_DEFINITE
+        return DefinitenessVerdict(kind, rank)
+    if first_neg_violation is None:
+        kind = NEGATIVE_DEFINITE if all_neg_strict else NEGATIVE_SEMI_DEFINITE
+        return DefinitenessVerdict(kind, rank, first_pos_violation)
+    return DefinitenessVerdict(INDEFINITE, rank, first_pos_violation)
+
+
+def _rescanned_sigma_weight(g: WeightedGraph, v1: frozenset, b: tuple) -> float:
+    incident = {v: [] for v in b}
+    for idx, i, j, _ in g.simple_edges():
+        if (i in v1) != (j in v1):
+            inside = i if i in v1 else j
+            if inside in incident:
+                incident[inside].append(idx)
+    pools = [sorted(incident[v]) for v in b]
+    if any(not pool for pool in pools):
+        return 0.0
+    members = [frozenset(choice) for choice in itertools.product(*pools)]
+    return math.fsum(math.prod(g.edges[e][2] for e in d) for d in members)
+
+
+def rescanned_cut_identity_terms(g: WeightedGraph, v1):
+    """Cut identity terms with the crossing edges rescanned and the minor recomputed per marker set."""
+    side = _vertex_subset(v1, g.n, allow_empty=False)
+    v1set = frozenset(side)
+    L = laplacian(g)
+    terms = []
+    for r in range(len(side) + 1):
+        for c in itertools.combinations(side, r):
+            weight = _rescanned_sigma_weight(g, v1set, c)
+            if weight == 0.0:
+                continue
+            rest = tuple(sorted(set(side) - set(c)))
+            minor = principal_minor_direct(L, rest) if rest else 1.0
+            terms.append((-1.0) ** r * weight * minor)
+    return terms

@@ -169,6 +169,13 @@ class TestVerifyIdentity:
         assert main(["verify-identity", str(path), "--v1", v1]) == 2
         assert "guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("v1", ["", "1,1"])
+    def test_empty_or_repeated_side_is_usage_error(self, capsys, triangle_file, v1):
+        assert main(["--format", "json", "verify-identity", str(triangle_file), "--v1", v1]) == 2
+        captured = capsys.readouterr()
+        assert "--v1" in captured.err
+        assert captured.out == ""
+
     def test_sweep_guard_demands_explicit_side(self, capsys, tmp_path):
         n = 16
         edges = [(i, i + 1, 1.0) for i in range(1, n)]

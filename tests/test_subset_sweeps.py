@@ -1,0 +1,158 @@
+"""The exhaustive subset sweeps against their one-shot forms.
+
+The principal-minor sweep streams each subset size in chunks and stops at
+its verdict; the cut identity builds each side's crossing pools once and
+shares the Laplacian minors of one graph across sides. Both must return
+exactly what the oracles in ``helpers`` return, floats bit for bit.
+"""
+
+import itertools
+import struct
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import rescanned_cut_identity_terms, unchunked_sweep
+from mesostab import WeightedGraph, cut_identity_terms, is_psd_full, laplacian, structure, sylvester
+from mesostab.cli import main
+from mesostab.io import format_edge_list
+from mesostab.selftest import random_signed_graph
+
+
+def same_float(a, b):
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_combination_builder_matches_itertools(n):
+    combos = np.empty((1, 0), dtype=np.intp)
+    for k in range(1, n + 1):
+        combos = sylvester._extend_combinations(combos, n)
+        assert combos.tolist() == [list(c) for c in itertools.combinations(range(n), k)]
+
+
+def _cycle_laplacian(rng, c):
+    """Laplacian of a c-cycle whose one negative edge is just above the harmonic
+    bound of the others: only the minors that drop one cycle vertex are negative."""
+    w = rng.uniform(0.5, 1.5, size=c - 1)
+    x = float(rng.uniform(1.05, 1.2)) / np.sum(1.0 / w)
+    L = np.zeros((c, c))
+    for k, (i, j) in enumerate([(k, k + 1) for k in range(c - 1)] + [(0, c - 1)]):
+        wt = w[k] if k < c - 1 else -x
+        L[i, j] = L[j, i] = -wt
+        L[i, i] += wt
+        L[j, j] += wt
+    return L
+
+
+@st.composite
+def sweep_matrices(draw):
+    """Indefinite, negative-semi-definite-only, rank-deficient PSD and zero
+    matrices, and matrices whose first violation lies past size 1."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = draw(st.sampled_from(["indefinite", "nsd", "psd-deficient", "zero", "late", "late-cycle"]))
+    if shape == "indefinite":
+        a = rng.integers(-3, 4, size=(n, n)).astype(float)
+        a = np.triu(a) + np.triu(a, 1).T
+    elif shape == "zero":
+        a = np.zeros((n, n))
+    elif shape in ("nsd", "psd-deficient"):
+        b = rng.normal(size=(n, int(rng.integers(0, n + 1))))
+        a = b @ b.T if shape == "psd-deficient" else -(b @ b.T)
+    elif shape == "late":
+        # positive definite below size r + 1, a negative minor from there on
+        r = int(rng.integers(1, n)) if n > 1 else 0
+        b = rng.normal(size=(n, r))
+        v = rng.normal(size=n)
+        a = b @ b.T - float(rng.uniform(1e-3, 1e-1)) * np.outer(v, v)
+    else:
+        c = min(n, int(rng.integers(3, 7))) if n >= 3 else n
+        a = np.eye(n)
+        if c >= 3:
+            a[n - c:, n - c:] = _cycle_laplacian(rng, c)
+        perm = rng.permutation(n)
+        a = a[np.ix_(perm, perm)]
+    return a
+
+
+@settings(max_examples=400, deadline=None)
+@given(sweep_matrices(), st.sampled_from([1, 3, 7, sylvester.SWEEP_CHUNK]))
+def test_sweep_matches_unchunked_oracle(a, chunk):
+    want = unchunked_sweep(a)
+    with mock.patch.object(sylvester, "SWEEP_CHUNK", chunk):
+        got = is_psd_full(a)
+    assert (got.kind, got.rank_estimate) == (want.kind, want.rank_estimate)
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert got.witness.subset == want.witness.subset
+        assert same_float(got.witness.value, want.witness.value)
+
+
+def test_late_violation_is_found_past_the_first_chunk():
+    rng = np.random.default_rng(5)
+    a = np.eye(9)
+    a[3:, 3:] = _cycle_laplacian(rng, 6)
+    want = unchunked_sweep(a)
+    assert want.witness.subset == (4, 5, 6, 7, 8)  # the first 5-subset of the cycle
+    for chunk in (1, 3, 7):
+        with mock.patch.object(sylvester, "SWEEP_CHUNK", chunk):
+            got = is_psd_full(a)
+        assert got == want and same_float(got.witness.value, want.witness.value)
+
+
+WEIGHTS = st.one_of(st.integers(min_value=-4, max_value=-1), st.integers(min_value=1, max_value=4),
+                    st.floats(min_value=-3.0, max_value=3.0).filter(lambda w: abs(w) > 1e-3))
+
+
+@st.composite
+def identity_graphs(draw):
+    """Signed graphs on n <= 7 vertices with loops, disconnected parts and isolated vertices."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=min(len(pairs), 16)))
+    return WeightedGraph(n, tuple((i, j, float(draw(WEIGHTS))) for i, j in chosen))
+
+
+@settings(max_examples=150, deadline=None)
+@given(identity_graphs())
+def test_cut_identity_terms_match_rescanning_oracle(g):
+    for size in range(1, g.n):
+        for side in itertools.combinations(range(1, g.n + 1), size):
+            got = cut_identity_terms(g, side)
+            want = rescanned_cut_identity_terms(g, side)
+            assert got == want
+            assert all(same_float(x, y) for x, y in zip(got, want))
+
+
+def test_cut_identity_terms_survive_an_equal_graph():
+    # the minor table is keyed by graph equality: an equal graph reuses it
+    g = random_signed_graph(np.random.default_rng(3), 6, 9)
+    first = cut_identity_terms(g, (1, 2, 3))
+    again = cut_identity_terms(WeightedGraph(g.n, g.edges), (1, 2, 3))
+    assert first == again == rescanned_cut_identity_terms(g, (1, 2, 3))
+
+
+def test_all_sides_sweep_computes_each_minor_once(tmp_path, capsys, monkeypatch):
+    n = 8
+    g = random_signed_graph(np.random.default_rng(11), n, 2 * n)
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(g))
+    calls = []
+    direct = structure.principal_minor_direct
+
+    def counted(L, s):
+        calls.append(tuple(s))
+        return direct(L, s)
+
+    monkeypatch.setattr(structure, "principal_minor_direct", counted)
+    structure._minor_table.cache_clear()
+    assert main(["--format", "json", "verify-identity", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2**n - 2
+    assert len(set(calls)) == len(calls)
+    assert np.array_equal(structure._minor_table(g)[0], laplacian(g))
