@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import WeightedGraph, coates_graph, cut_edges, laplacian
-from .numerics import REL_TOL, eigen_rank, require_symmetric, require_zero_row_sums
+from .numerics import REL_TOL, require_symmetric, require_zero_row_sums
 from .structure import (
     LineBoundReport,
     _positive_spanning_forest,
@@ -26,6 +26,7 @@ from .sylvester import (
     DEFAULT_N_MAX,
     DefinitenessVerdict,
     certifies_psd_max_rank,
+    eigen_rank,
     is_psd_full,
     is_psd_zero_row_sum,
 )
@@ -91,7 +92,9 @@ def analyze_matrix(a: np.ndarray, *, rel: float = REL_TOL, n_max: int = DEFAULT_
     cut_edges_list = cut_edges(g, cut).edge_tuples() if cut is not None else ()
     lines = tuple(line_obstruction_scan(g, rel))
 
-    rank = eigen_rank(a)
+    # A refused certificate has already classified -a by its eigenvalues with the
+    # same threshold, and LAPACK's spectrum of -a is exactly the negated one of a.
+    rank = eigen_rank(a) if certified else certificate.rank_estimate
     if certified:
         verdict = PASSES
     elif (full is not None and full.witness is not None) or certificate.witness is not None \

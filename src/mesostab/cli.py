@@ -178,7 +178,7 @@ def _cmd_analyze_graph(args) -> int:
 def _cmd_kuramoto(args) -> int:
     path = Path(args.input)
     system = parse_kuramoto(path.read_text())
-    if args.seed_phases:
+    if args.seed_phases is not None:
         x0 = parse_phases(Path(args.seed_phases).read_text(), system.n)
     else:
         x0 = np.zeros(system.n)
@@ -293,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kuramoto", help="find a phase-locked state and classify its stability")
     p.add_argument("input")
-    p.add_argument("--seed-phases", default=None, help="file with one phase per oscillator")
+    p.add_argument("--seed-phases", default=None, type=_checked(str, bool, "a file name"),
+                   help="file with one phase per oscillator")
     p.set_defaults(func=_cmd_kuramoto)
 
     p = sub.add_parser("verify-identity", help="check the alternating cut identity")

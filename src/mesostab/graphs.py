@@ -370,11 +370,15 @@ def _vertex_subset(s: Iterable[int], n: int, allow_empty: bool = True) -> tuple[
 def graph_components(g: WeightedGraph) -> list[frozenset[int]]:
     """Components of the whole graph; isolated vertices form singletons."""
     _, i, j, _ = _simple_columns(g)
-    labels, _ = _index_forest(g.n, i, j)
+    return _classes(_index_forest(g.n, i, j)[0])
+
+
+def _classes(labels: np.ndarray) -> list[frozenset[int]]:
+    """The classes of ``_index_forest`` labels as 1-based vertex sets, by smallest vertex."""
     # Labels name each class's smallest vertex, so sorting by label orders the classes.
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    return [frozenset(part.tolist()) for part in np.split(order + 1, cuts)] if g.n else []
+    return [frozenset(part.tolist()) for part in np.split(order + 1, cuts)] if labels.size else []
 
 
 def _index_forest(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

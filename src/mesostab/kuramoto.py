@@ -17,9 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .analysis import ARITHMETIC_ZERO_TOL, DEGENERATE, StabilityReport, analyze_matrix
-from .graphs import WeightedGraph, coates_graph, graph_components
+from .graphs import WeightedGraph, _classes, _index_forest
 from .numerics import REL_TOL
-from .structure import positive_spanning_tree
 from .sylvester import DEFAULT_N_MAX
 
 logger = logging.getLogger(__name__)
@@ -74,8 +73,12 @@ class KuramotoSystem:
         return list(self.coupling_graph().edges)
 
     def coupling_graph(self) -> WeightedGraph:
-        i, j = np.nonzero(np.triu(self.b > 0, 1))
+        i, j = self._coupled_pairs()
         return WeightedGraph._from_columns(self.n, i, j, self.b[i, j])
+
+    def _coupled_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based endpoints i < j of the coupled pairs, in row-major order."""
+        return np.nonzero(np.triu(self.b > 0, 1))
 
 
 def wrap_phases(x) -> np.ndarray:
@@ -177,14 +180,16 @@ def spanning_phase_condition(sys: KuramotoSystem, xstar) -> bool:
     """True iff every coupling component is spanned by edges with |dphase| < pi/2.
 
     This is the positive-spanning-tree test on the coupling graph with each
-    edge signed by whether its pair is within pi/2 of phase.
+    edge signed by whether its pair is within pi/2 of phase: it holds iff no
+    coupled pair joins two classes of the near pairs.
     """
     x = np.asarray(xstar, dtype=float)
     if x.shape != (sys.n,):
         raise ValueError(f"phase vector has shape {x.shape}, expected ({sys.n},)")
-    near = np.triu(np.abs(wrap_to_pi(x[None, :] - x[:, None])) < math.pi / 2, 1)
-    near = near | near.T
-    return positive_spanning_tree(coates_graph(np.where(near, sys.b, -sys.b))) is not None
+    i, j = sys._coupled_pairs()
+    near = np.abs(wrap_to_pi(x[j] - x[i])) < math.pi / 2
+    labels, _ = _index_forest(sys.n, i[near], j[near])
+    return bool(np.all(labels[i] == labels[j]))
 
 
 def classify_stability(sys: KuramotoSystem, xstar, *, rel: float = REL_TOL,
@@ -203,7 +208,7 @@ def classify_stability(sys: KuramotoSystem, xstar, *, rel: float = REL_TOL,
         rel=rel,
         n_max=n_max,
         zero_tol=ARITHMETIC_ZERO_TOL,
-        required_components=graph_components(sys.coupling_graph()),
+        required_components=_classes(_index_forest(sys.n, *sys._coupled_pairs())[0]),
     )
     if report.rank_estimate < sys.n - 1 and not report.certified:
         notes = report.notes + (

@@ -1,4 +1,4 @@
-"""Shared numerical helpers: tolerances, determinants, eigenvalue-based rank.
+"""Shared numerical helpers: tolerances, determinants, input validation.
 
 All tolerances scale with the data so that verdicts are stable under
 rescaling of the input matrix.
@@ -19,16 +19,9 @@ class GuardLimitError(ValueError):
     """Raised when an exhaustive-subset operation exceeds its size guard."""
 
 
-def row_sum_tolerance(a: np.ndarray, rel: float = REL_TOL) -> float:
-    """Absolute tolerance for declaring the row sums of `a` zero."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    return rel * n * scale
-
-
-def eig_tolerance(a: np.ndarray, rel: float = EIG_REL_TOL) -> float:
-    """Threshold below which an eigenvalue counts as zero."""
+def scaled_tolerance(a: np.ndarray, rel: float) -> float:
+    """Absolute tolerance ``rel * n * max|a_ij|`` below which a row sum or an
+    eigenvalue of ``a`` counts as zero."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     scale = float(np.max(np.abs(a))) if a.size else 0.0
@@ -66,7 +59,7 @@ def require_symmetric(a: np.ndarray) -> np.ndarray:
 
 def has_zero_row_sums(a: np.ndarray, rel: float = REL_TOL) -> bool:
     a = np.asarray(a, dtype=float)
-    return bool(np.max(np.abs(a.sum(axis=1)), initial=0.0) <= row_sum_tolerance(a, rel))
+    return bool(np.max(np.abs(a.sum(axis=1)), initial=0.0) <= scaled_tolerance(a, rel))
 
 
 def require_zero_row_sums(a: np.ndarray, rel: float = REL_TOL) -> np.ndarray:
@@ -138,17 +131,6 @@ def det_bareiss(a) -> int:
                 rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
         prev = rows[k][k]
     return sign * rows[-1][-1]
-
-
-def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending."""
-    return np.linalg.eigvalsh(require_symmetric(a))
-
-
-def eigen_rank(a: np.ndarray, rel: float = EIG_REL_TOL) -> int:
-    """Rank estimate: number of eigenvalues above the zero threshold."""
-    w = symmetric_eigenvalues(a)
-    return int(np.count_nonzero(np.abs(w) > eig_tolerance(a, rel)))
 
 
 def quadratic_form(a: np.ndarray, v) -> float:

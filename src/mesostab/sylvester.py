@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -21,11 +21,10 @@ from .numerics import (
     REL_TOL,
     GuardLimitError,
     det_partial_pivot,
-    eig_tolerance,
-    eigen_rank,
     hadamard_bound,
     require_symmetric,
     require_zero_row_sums,
+    scaled_tolerance,
 )
 
 POSITIVE_DEFINITE = "positive-definite"
@@ -72,8 +71,12 @@ class DefinitenessVerdict:
 
 
 def _classify_by_eigenvalues(L: np.ndarray, rel: float = EIG_REL_TOL) -> tuple[str, int, np.ndarray]:
+    """Kind, rank estimate and ascending eigenvalues of a symmetric matrix.
+
+    An eigenvalue counts as zero within ``scaled_tolerance(L, rel)``.
+    """
     w = np.linalg.eigvalsh(L)
-    tol = eig_tolerance(L, rel)
+    tol = scaled_tolerance(L, rel)
     pos = int(np.count_nonzero(w > tol))
     neg = int(np.count_nonzero(w < -tol))
     rank = pos + neg
@@ -85,6 +88,11 @@ def _classify_by_eigenvalues(L: np.ndarray, rel: float = EIG_REL_TOL) -> tuple[s
     else:
         kind = INDEFINITE
     return kind, rank, w
+
+
+def eigen_rank(L: np.ndarray, rel: float = EIG_REL_TOL) -> int:
+    """Rank estimate: number of eigenvalues above the zero threshold."""
+    return _classify_by_eigenvalues(L, rel)[1]
 
 
 def _extend_combinations(prev: np.ndarray, n: int) -> np.ndarray:
@@ -237,35 +245,19 @@ class EquivalenceReport:
     leading_minors_positive: bool
     reduced_block_pd: bool
 
-    def values(self) -> tuple[bool, bool, bool, bool, bool]:
-        return (
-            self.eigen_psd_max_rank,
-            self.proper_minors_positive,
-            self.proper_submatrices_pd,
-            self.leading_minors_positive,
-            self.reduced_block_pd,
-        )
+    def values(self) -> tuple[bool, ...]:
+        return astuple(self)
 
     def names(self) -> tuple[str, ...]:
-        return (
-            "eigen_psd_max_rank",
-            "proper_minors_positive",
-            "proper_submatrices_pd",
-            "leading_minors_positive",
-            "reduced_block_pd",
-        )
+        return tuple(f.name for f in fields(self))
 
     @property
     def all_agree(self) -> bool:
         return len(set(self.values())) == 1
 
     def disagreements(self) -> tuple[tuple[str, str], ...]:
-        names, vals = self.names(), self.values()
-        return tuple(
-            (names[a], names[b])
-            for a, b in itertools.combinations(range(5), 2)
-            if vals[a] != vals[b]
-        )
+        pairs = itertools.combinations(zip(self.names(), self.values()), 2)
+        return tuple((a, b) for (a, va), (b, vb) in pairs if va != vb)
 
 
 def check_equivalences(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL) -> EquivalenceReport:
@@ -283,9 +275,8 @@ def check_equivalences(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = R
         raise GuardLimitError(
             f"proper-minor sweep refused: n={n} exceeds n_max={n_max} (override n_max to force)"
         )
-    w = np.linalg.eigvalsh(L)
-    tol = eig_tolerance(L)
-    cond_i = bool(w[0] >= -tol and np.count_nonzero(np.abs(w) > tol) == n - 1)
+    kind, rank, _ = _classify_by_eigenvalues(L)
+    cond_i = (kind, rank) == (POSITIVE_SEMI_DEFINITE, n - 1)
 
     cond_ii = True
     cond_iii = True

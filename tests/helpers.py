@@ -10,7 +10,9 @@ negative cut, and the neighbour-dict walk for induced lines. The exhaustive
 minor sweep and the cut identity are checked against their one-shot forms:
 the sweep that stacks every subset of a size at once and runs to the end,
 and the identity that rescans the edges and recomputes every minor for each
-marker set.
+marker set. The Kuramoto phase condition and coupling components are
+checked against the graphs they used to be read from: the coupling graph
+signed by phase, and the coupling graph itself.
 """
 
 from __future__ import annotations
@@ -22,9 +24,18 @@ from typing import Optional
 
 import numpy as np
 
-from mesostab import WeightedGraph, laplacian, principal_minor_direct
+from mesostab import (
+    KuramotoSystem,
+    WeightedGraph,
+    coates_graph,
+    graph_components,
+    laplacian,
+    positive_spanning_tree,
+    principal_minor_direct,
+    wrap_to_pi,
+)
 from mesostab.graphs import _vertex_subset
-from mesostab.numerics import REL_TOL, eigen_rank, require_symmetric
+from mesostab.numerics import REL_TOL, require_symmetric
 from mesostab.sylvester import (
     INDEFINITE,
     NEGATIVE_DEFINITE,
@@ -33,6 +44,7 @@ from mesostab.sylvester import (
     POSITIVE_SEMI_DEFINITE,
     DefinitenessVerdict,
     MinorWitness,
+    eigen_rank,
 )
 from mesostab.selftest import random_signed_graph, random_zero_row_sum_matrix
 
@@ -306,3 +318,16 @@ def rescanned_cut_identity_terms(g: WeightedGraph, v1):
             minor = principal_minor_direct(L, rest) if rest else 1.0
             terms.append((-1.0) ** r * weight * minor)
     return terms
+
+
+def signed_graph_phase_condition(sys: KuramotoSystem, x) -> bool:
+    """The phase condition as a positive spanning tree of the coupling graph
+    with each edge signed by whether its pair is within pi/2 of phase."""
+    near = np.triu(np.abs(wrap_to_pi(x[None, :] - x[:, None])) < math.pi / 2, 1)
+    near = near | near.T
+    return positive_spanning_tree(coates_graph(np.where(near, sys.b, -sys.b))) is not None
+
+
+def coupling_graph_components(sys: KuramotoSystem):
+    """Components of the coupling graph, built as a graph."""
+    return graph_components(sys.coupling_graph())

@@ -18,6 +18,22 @@ from mesostab import (
 )
 from mesostab.cli import _report_dict
 
+C_MATRIX = np.array([[0, 0, 1, -1], [0, -1, 1, 0], [1, 1, -2, 0], [-1, 0, 0, 1]], dtype=float)
+
+
+@pytest.mark.parametrize("a, n_max, certified, calls", [
+    (-laplacian(WeightedGraph(3, ((1, 2, 1.0), (2, 3, 2.0)))), 20, True, 1),  # the report's rank
+    (C_MATRIX, 20, False, 2),  # the certificate's fallback and the full sweep's rank
+    (C_MATRIX, 3, False, 1),  # sweep skipped: the certificate's fallback only
+])
+def test_eigenvalue_calls_per_analysis(monkeypatch, a, n_max, certified, calls):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape) or eigvalsh(m))
+    report = analyze_matrix(a, n_max=n_max)
+    assert report.certified == certified
+    assert len(seen) == calls
+
 
 def test_passes_on_negated_positive_laplacian():
     g = WeightedGraph(4, ((1, 2, 1.0), (2, 3, 0.5), (3, 4, 2.0)))

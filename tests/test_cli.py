@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mesostab import WeightedGraph, laplacian, principal_minor_direct
+from mesostab import WeightedGraph, graphs, laplacian, principal_minor_direct
 from mesostab.cli import main
 from mesostab.io import format_edge_list, format_kuramoto, format_matrix_csv
 from mesostab.kuramoto import KuramotoSystem
@@ -144,6 +144,25 @@ class TestKuramotoCommand:
         assert code == 1
         assert payload["equilibrium"] is None
         assert "no phase-locked state" in payload["verdict"]
+
+    def test_empty_seed_phases_is_usage_error(self, capsys, two_node_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "json", "kuramoto", str(two_node_file), "--seed-phases", ""])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --seed-phases:" in captured.err
+        assert captured.out == ""
+
+    def test_op_builds_one_graph(self, capsys, monkeypatch, two_node_file, tmp_path):
+        # every WeightedGraph, from edge tuples or from columns, is validated once
+        built = []
+        validated = graphs._validated
+        monkeypatch.setattr(graphs, "_validated", lambda *args: built.append(args[0]) or validated(*args))
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("0.0 0.1\n")
+        code, payload = run_json(capsys, ["kuramoto", str(two_node_file), "--seed-phases", str(seeds)])
+        assert code == 0 and payload["report"] is not None
+        assert built == [2]  # the Jacobian's graph
 
 
 class TestVerifyIdentity:

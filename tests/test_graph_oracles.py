@@ -1,30 +1,38 @@
 """The array-backed graph layer against the per-edge loops it replaced.
 
 Each property draws small graphs (n <= 12) and requires the numpy paths to
-return exactly what the loop oracles in ``helpers`` return.
+return exactly what the loop oracles in ``helpers`` return. The Kuramoto
+phase condition and coupling components, which no longer build graphs, are
+held to the graph route they replaced.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    coupling_graph_components,
     greedy_components,
     greedy_negative_cut,
     greedy_positive_forest,
     loop_coates_graph,
+    signed_graph_phase_condition,
     walk_induced_lines,
 )
 from mesostab import (
     KuramotoSystem,
     WeightedGraph,
+    analyze_matrix,
+    classify_stability,
     coates_graph,
     find_negative_cut,
     graph_components,
     induced_lines,
     positive_spanning_tree,
+    spanning_phase_condition,
 )
 from mesostab.structure import _positive_spanning_forest
 
@@ -126,3 +134,38 @@ def test_coupling_graph_matches_double_loop(case):
 @given(sparse_line_graphs())
 def test_induced_lines_match_neighbour_walk(g):
     assert [line.sorted_members() for line in induced_lines(g)] == walk_induced_lines(g)
+
+
+@st.composite
+def coupled_equilibria(draw):
+    """Couplings on n <= 10 oscillators, often disconnected, and phases that
+    are an equilibrium for frequencies chosen to match. Half of the phase
+    vectors sit on a pi/4 grid, so that some differences are exactly pi/2."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    b = np.zeros((n, n))
+    for i, j in chosen:
+        b[i, j] = b[j, i] = draw(st.floats(min_value=0.1, max_value=4.0))
+    if draw(st.booleans()):
+        x = np.array(draw(st.lists(st.integers(min_value=-8, max_value=8), min_size=n, max_size=n))) * (math.pi / 4)
+    else:
+        x = np.array(draw(st.lists(st.floats(min_value=-7.0, max_value=7.0), min_size=n, max_size=n)))
+    omega = -(b * np.sin(x[None, :] - x[:, None])).sum(axis=1)
+    return KuramotoSystem(omega, b), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(coupled_equilibria())
+def test_phase_condition_and_components_match_graph_route(case):
+    sys_, x = case
+    assert spanning_phase_condition(sys_, x) == signed_graph_phase_condition(sys_, x)
+    required = []
+
+    def recording(a, **kwargs):
+        required.append(kwargs["required_components"])
+        return analyze_matrix(a, **kwargs)
+
+    with mock.patch("mesostab.kuramoto.analyze_matrix", recording):
+        classify_stability(sys_, x)
+    assert required == [coupling_graph_components(sys_)]

@@ -9,6 +9,7 @@ import pytest
 from helpers import random_positive_graph, random_zero_row_sum_matrix
 from mesostab import (
     DefinitenessVerdict,
+    EquivalenceReport,
     GuardLimitError,
     KuramotoSystem,
     MinorWitness,
@@ -209,6 +210,27 @@ class TestEquivalences:
     def test_guard(self):
         with pytest.raises(GuardLimitError, match="n_max=3"):
             check_equivalences(np.zeros((4, 4)), n_max=3)
+
+    def test_disagreements_name_each_differing_pair(self):
+        report = EquivalenceReport(True, False, True, True, False)
+        assert report.names() == (
+            "eigen_psd_max_rank",
+            "proper_minors_positive",
+            "proper_submatrices_pd",
+            "leading_minors_positive",
+            "reduced_block_pd",
+        )
+        assert report.values() == (True, False, True, True, False)
+        assert not report.all_agree
+        assert report.disagreements() == (
+            ("eigen_psd_max_rank", "proper_minors_positive"),
+            ("eigen_psd_max_rank", "reduced_block_pd"),
+            ("proper_minors_positive", "proper_submatrices_pd"),
+            ("proper_minors_positive", "leading_minors_positive"),
+            ("proper_submatrices_pd", "reduced_block_pd"),
+            ("leading_minors_positive", "reduced_block_pd"),
+        )
+        assert EquivalenceReport(False, False, False, False, False).disagreements() == ()
 
 
 def reference_certificate(L, rel=REL_TOL):
