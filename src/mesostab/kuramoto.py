@@ -196,11 +196,11 @@ def classify_stability(sys: KuramotoSystem, xstar, *, rel: float = REL_TOL,
                        n_max: int = DEFAULT_N_MAX) -> StabilityReport:
     """Full obstruction pipeline at an equilibrium.
 
-    Degenerate linearizations (zero eigenvalue not simple) are reported as
-    such; otherwise the negated Jacobian goes through the minor certificate
-    and the Jacobian's graph through the structural scans. Passing means the
-    necessary linear-stability condition holds; attractivity is out of scope
-    and is never claimed.
+    Degenerate linearizations (zero eigenvalue not simple) are reported as such
+    unless a witness shows instability; the negated Jacobian goes through the
+    minor certificate and the Jacobian's graph through the structural scans.
+    Passing means the necessary linear-stability condition holds; attractivity
+    is out of scope and is never claimed.
     """
     a = jacobian(sys, xstar)
     report = analyze_matrix(
@@ -211,8 +211,8 @@ def classify_stability(sys: KuramotoSystem, xstar, *, rel: float = REL_TOL,
         required_components=_classes(_index_forest(sys.n, *sys._coupled_pairs())[0]),
     )
     if report.rank_estimate < sys.n - 1 and not report.certified:
-        notes = report.notes + (
-            f"rank estimate {report.rank_estimate} below {sys.n - 1}: linearization is degenerate",
-        )
-        return replace(report, verdict=DEGENERATE, certified=False, notes=notes)
+        note = f"rank estimate {report.rank_estimate} below {sys.n - 1}: linearization is degenerate"
+        if not (report.definiteness.witness or (report.full_sweep and report.full_sweep.witness)):
+            report = replace(report, verdict=DEGENERATE)
+        return replace(report, notes=report.notes + (note,))
     return report

@@ -28,14 +28,6 @@ def scaled_tolerance(a: np.ndarray, rel: float) -> float:
     return rel * n * scale
 
 
-def hadamard_bound(a: np.ndarray) -> float:
-    """Hadamard bound on |det a|: product of the row 2-norms."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 1.0
-    return float(np.prod(np.sqrt((a * a).sum(axis=1))))
-
-
 def require_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

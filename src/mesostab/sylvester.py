@@ -21,7 +21,6 @@ from .numerics import (
     REL_TOL,
     GuardLimitError,
     det_partial_pivot,
-    hadamard_bound,
     require_symmetric,
     require_zero_row_sums,
     scaled_tolerance,
@@ -109,6 +108,27 @@ def _extend_combinations(prev: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack((prev[rows], new))
 
 
+def _require_n_max(n: int, n_max: int, sweep: str) -> None:
+    if n > n_max:
+        raise GuardLimitError(f"{sweep} refused: n={n} exceeds n_max={n_max} (override n_max to force)")
+
+
+def _principal_blocks(L: np.ndarray, k_max: int):
+    """Chunks ``(k, subsets, blocks)`` of the principal submatrices of sizes 1..k_max in sweep
+    order (sizes ascending, then 0-based subsets lexicographic), at most ``SWEEP_CHUNK`` each."""
+    combos = np.empty((1, 0), dtype=np.intp)
+    for k in range(1, k_max + 1):
+        combos = _extend_combinations(combos, L.shape[0])
+        for start in range(0, len(combos), SWEEP_CHUNK):
+            cc = combos[start:start + SWEEP_CHUNK]
+            yield k, cc, L[cc[:, :, None], cc[:, None, :]]
+
+
+def _minor_tolerances(blocks: np.ndarray, rel: float) -> np.ndarray:
+    """``rel`` times the Hadamard bound (product of row 2-norms) of each block."""
+    return rel * np.prod(np.sqrt((blocks * blocks).sum(axis=2)), axis=1)
+
+
 def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL) -> DefinitenessVerdict:
     """Classify by the full sweep over all nonempty principal minors.
 
@@ -116,44 +136,36 @@ def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL)
     tol scales with the Hadamard bound of each submatrix. The witness is the
     first subset, sizes ascending then lexicographic, whose minor breaks the
     positive side (or, failing that, the negative side). The sweep visits
-    the subsets in that order, ``SWEEP_CHUNK`` at a time, and stops once
-    both sides are broken, since the verdict is then indefinite with the
+    the subsets in that order, in ``_principal_blocks`` chunks, and stops
+    once both sides are broken: the verdict is then indefinite with the
     positive-side witness. It is refused above ``n_max`` since it takes at
     most 2^n - 1 determinants.
     """
     L = require_symmetric(L)
     n = L.shape[0]
-    if n > n_max:
-        raise GuardLimitError(
-            f"exhaustive minor sweep refused: n={n} exceeds n_max={n_max} (override n_max to force)"
-        )
+    _require_n_max(n, n_max, "exhaustive minor sweep")
     first_pos_violation: Optional[MinorWitness] = None
     first_neg_violation: Optional[MinorWitness] = None
     all_pos_strict = True
     all_neg_strict = True
-    combos = np.empty((1, 0), dtype=np.intp)
-    for k in range(1, n + 1):
-        combos = _extend_combinations(combos, n)
+    for k, cc, subs in _principal_blocks(L, n):
         sign = -1.0 if k % 2 else 1.0
-        for start in range(0, len(combos), SWEEP_CHUNK):
-            cc = combos[start:start + SWEEP_CHUNK]
-            subs = L[cc[:, :, None], cc[:, None, :]]
-            dets = np.linalg.det(subs)
-            tols = rel * np.prod(np.sqrt((subs * subs).sum(axis=2)), axis=1)
-            pos_bad = dets < -tols
-            neg_bad = sign * dets < -tols
-            if first_pos_violation is None and pos_bad.any():
-                at = int(np.argmax(pos_bad))
-                first_pos_violation = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
-            if first_neg_violation is None and neg_bad.any():
-                at = int(np.argmax(neg_bad))
-                first_neg_violation = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
-            if first_pos_violation is not None and first_neg_violation is not None:
-                return DefinitenessVerdict(INDEFINITE, eigen_rank(L), first_pos_violation)
-            if not (dets > tols).all():
-                all_pos_strict = False
-            if not (sign * dets > tols).all():
-                all_neg_strict = False
+        dets = np.linalg.det(subs)
+        tols = _minor_tolerances(subs, rel)
+        pos_bad = dets < -tols
+        neg_bad = sign * dets < -tols
+        if first_pos_violation is None and pos_bad.any():
+            at = int(np.argmax(pos_bad))
+            first_pos_violation = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
+        if first_neg_violation is None and neg_bad.any():
+            at = int(np.argmax(neg_bad))
+            first_neg_violation = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
+        if first_pos_violation is not None and first_neg_violation is not None:
+            return DefinitenessVerdict(INDEFINITE, eigen_rank(L), first_pos_violation)
+        if not (dets > tols).all():
+            all_pos_strict = False
+        if not (sign * dets > tols).all():
+            all_neg_strict = False
     rank = eigen_rank(L)
     if first_pos_violation is None:
         kind = POSITIVE_DEFINITE if all_pos_strict else POSITIVE_SEMI_DEFINITE
@@ -163,9 +175,9 @@ def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL)
 
 
 def _leading_minor_refusal(L: np.ndarray, rel: float) -> tuple[int, bool]:
-    """First k whose leading minor fails ``minor > rel * hadamard_bound``, or 0.
+    """First k whose leading minor fails ``minor > rel * Hadamard bound``, or 0.
 
-    Also says whether that minor lies below ``-rel * hadamard_bound``. One
+    Also says whether that minor lies below ``-rel * Hadamard bound``. One
     unpivoted elimination of the leading (n-1)-block yields every leading
     minor as a product of pivots; pivoting is unneeded since each pivot used
     sits on a leading block that passed, hence is positive definite. The
@@ -225,14 +237,15 @@ def certifies_psd_max_rank(verdict: DefinitenessVerdict, n: int) -> bool:
     return verdict.kind == POSITIVE_SEMI_DEFINITE and verdict.rank_estimate == n - 1 and verdict.witness is None
 
 
-def _is_pd_cholesky(a: np.ndarray) -> bool:
-    if a.size == 0:
+def _is_pd_cholesky(blocks: np.ndarray, rel: float) -> bool:
+    """Cholesky test of a k x k block or a stack: every squared pivot above ``rel * k * max|block|``."""
+    if blocks.size == 0:
         return True
     try:
-        np.linalg.cholesky(a)
-        return True
+        pivots = np.diagonal(np.linalg.cholesky(blocks), axis1=-2, axis2=-1) ** 2
     except np.linalg.LinAlgError:
         return False
+    return bool((pivots > rel * blocks.shape[-1] * np.abs(blocks).max(axis=(-2, -1))[..., None]).all())
 
 
 @dataclass(frozen=True)
@@ -264,32 +277,26 @@ def check_equivalences(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = R
     """Evaluate each of the five equivalent maximal-rank PSD tests on its own.
 
     The tests: eigenvalue PSD with rank n-1; every proper principal minor
-    strictly positive; every proper principal submatrix positive definite
-    (Cholesky); the n-1 leading minors strictly positive; the leading
-    (n-1)-block positive definite. Any disagreement signals a bug, which is
-    exactly what the matching property test asserts.
+    strictly positive; every proper principal submatrix positive definite; the
+    n-1 leading minors strictly positive; the leading (n-1)-block positive
+    definite. The proper ones take one batched determinant and Cholesky per
+    sweep chunk; Cholesky passes a block only above a pivot tolerance. Any
+    disagreement signals a bug.
     """
     L = require_zero_row_sums(require_symmetric(L), rel)
     n = L.shape[0]
-    if n > n_max:
-        raise GuardLimitError(
-            f"proper-minor sweep refused: n={n} exceeds n_max={n_max} (override n_max to force)"
-        )
+    _require_n_max(n, n_max, "proper-minor sweep")
     kind, rank, _ = _classify_by_eigenvalues(L)
     cond_i = (kind, rank) == (POSITIVE_SEMI_DEFINITE, n - 1)
 
     cond_ii = True
     cond_iii = True
-    for k in range(1, n):
-        for combo in itertools.combinations(range(n), k):
-            sub = L[np.ix_(combo, combo)]
-            if cond_ii and det_partial_pivot(sub) <= rel * hadamard_bound(sub):
-                cond_ii = False
-            if cond_iii and not _is_pd_cholesky(sub):
-                cond_iii = False
+    for _, _, blocks in _principal_blocks(L, n - 1):
+        cond_ii = cond_ii and bool((np.linalg.det(blocks) > _minor_tolerances(blocks, rel)).all())
+        cond_iii = cond_iii and _is_pd_cholesky(blocks, rel)
         if not cond_ii and not cond_iii:
             break
 
     cond_iv = _leading_minor_refusal(L, rel)[0] == 0
-    cond_v = _is_pd_cholesky(L[: n - 1, : n - 1])
+    cond_v = _is_pd_cholesky(L[: n - 1, : n - 1], rel)
     return EquivalenceReport(cond_i, cond_ii, cond_iii, cond_iv, cond_v)

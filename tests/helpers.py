@@ -7,10 +7,12 @@ rational Faddeev-LeVerrier recursion. The array-backed graph layer is
 checked against the per-edge loops it replaced: the double-loop Coates
 graph, a greedy dict union-find for components, the positive forest and the
 negative cut, and the neighbour-dict walk for induced lines. The exhaustive
-minor sweep and the cut identity are checked against their one-shot forms:
-the sweep that stacks every subset of a size at once and runs to the end,
-and the identity that rescans the edges and recomputes every minor for each
-marker set. The Kuramoto phase condition and coupling components are
+minor sweep, the five-way check and the cut identity are checked against
+their one-shot forms: the sweep that stacks every subset of a size at once
+and runs to the end, the five-way check that takes one proper subset at a
+time with an elimination determinant and a one-block Cholesky test, and the
+identity that rescans the edges and recomputes every minor for each marker
+set. The Kuramoto phase condition and coupling components are
 checked against the graphs they used to be read from: the coupling graph
 signed by phase, and the coupling graph itself.
 """
@@ -35,7 +37,7 @@ from mesostab import (
     wrap_to_pi,
 )
 from mesostab.graphs import _vertex_subset
-from mesostab.numerics import REL_TOL, require_symmetric
+from mesostab.numerics import REL_TOL, det_partial_pivot, require_symmetric, require_zero_row_sums
 from mesostab.sylvester import (
     INDEFINITE,
     NEGATIVE_DEFINITE,
@@ -43,7 +45,11 @@ from mesostab.sylvester import (
     POSITIVE_DEFINITE,
     POSITIVE_SEMI_DEFINITE,
     DefinitenessVerdict,
+    EquivalenceReport,
     MinorWitness,
+    _classify_by_eigenvalues,
+    _is_pd_cholesky,
+    _leading_minor_refusal,
     eigen_rank,
 )
 from mesostab.selftest import random_signed_graph, random_zero_row_sum_matrix
@@ -287,6 +293,31 @@ def unchunked_sweep(L, rel=REL_TOL):
         kind = NEGATIVE_DEFINITE if all_neg_strict else NEGATIVE_SEMI_DEFINITE
         return DefinitenessVerdict(kind, rank, first_pos_violation)
     return DefinitenessVerdict(INDEFINITE, rank, first_pos_violation)
+
+
+def looped_equivalences(L, rel=REL_TOL):
+    """The five-way report with (ii) and (iii) taken one proper subset at a time:
+    an elimination determinant against its Hadamard bound, and a one-block
+    Cholesky test."""
+    L = require_zero_row_sums(require_symmetric(L), rel)
+    n = L.shape[0]
+    kind, rank, _ = _classify_by_eigenvalues(L)
+    cond_ii = True
+    cond_iii = True
+    for k in range(1, n):
+        for combo in itertools.combinations(range(n), k):
+            sub = L[np.ix_(combo, combo)]
+            if det_partial_pivot(sub) <= rel * float(np.prod(np.sqrt((sub * sub).sum(axis=1)))):
+                cond_ii = False
+            if not _is_pd_cholesky(sub, rel):
+                cond_iii = False
+    return EquivalenceReport(
+        (kind, rank) == (POSITIVE_SEMI_DEFINITE, n - 1),
+        cond_ii,
+        cond_iii,
+        _leading_minor_refusal(L, rel)[0] == 0,
+        _is_pd_cholesky(L[: n - 1, : n - 1], rel),
+    )
 
 
 def _rescanned_sigma_weight(g: WeightedGraph, v1: frozenset, b: tuple) -> float:

@@ -9,6 +9,7 @@ import pytest
 from helpers import random_positive_graph
 from mesostab import (
     KuramotoSystem,
+    MinorWitness,
     classify_stability,
     find_equilibrium,
     jacobian,
@@ -228,6 +229,19 @@ class TestClassify:
         report = classify_stability(sys_, np.zeros(4))
         assert report.verdict == "degenerate"
         assert report.rank_estimate == 2
+        assert any("degenerate" in note for note in report.notes)
+
+    def test_degenerate_rank_keeps_a_minor_witness(self):
+        # path 1-2-3 at phases (pi, 0, pi/2): the Jacobian's eigenvalues are
+        # (0, 0, +2), so the rank is short and yet the state is unstable
+        b = np.zeros((3, 3))
+        b[0, 1] = b[1, 0] = b[1, 2] = b[2, 1] = 1.0
+        x = np.array([math.pi, 0.0, math.pi / 2])
+        sys_ = KuramotoSystem(-(b * np.sin(x[None, :] - x[:, None])).sum(axis=1), b)
+        report = classify_stability(sys_, x)
+        assert report.verdict == "fails necessary condition"
+        assert report.rank_estimate == 1
+        assert report.definiteness.witness == MinorWitness((1,), -1.0)
         assert any("degenerate" in note for note in report.notes)
 
     def test_splay_ring_fails(self):

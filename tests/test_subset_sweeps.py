@@ -3,7 +3,9 @@
 The principal-minor sweep streams each subset size in chunks and stops at
 its verdict; the cut identity builds each side's crossing pools once and
 shares the Laplacian minors of one graph across sides. Both must return
-exactly what the oracles in ``helpers`` return, floats bit for bit.
+exactly what the oracles in ``helpers`` return, floats bit for bit. The
+five-way check walks the same chunks as the sweep and must return the
+report of its one-subset-at-a-time form.
 """
 
 import itertools
@@ -15,11 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rescanned_cut_identity_terms, unchunked_sweep
-from mesostab import WeightedGraph, cut_identity_terms, is_psd_full, laplacian, structure, sylvester
+from helpers import looped_equivalences, random_positive_graph, rescanned_cut_identity_terms, unchunked_sweep
+from mesostab import (
+    WeightedGraph,
+    check_equivalences,
+    cut_identity_terms,
+    is_psd_full,
+    laplacian,
+    structure,
+    sylvester,
+)
 from mesostab.cli import main
 from mesostab.io import format_edge_list
-from mesostab.selftest import random_signed_graph
+from mesostab.selftest import random_signed_graph, random_zero_row_sum_matrix
 
 
 def same_float(a, b):
@@ -103,6 +113,44 @@ def test_late_violation_is_found_past_the_first_chunk():
         with mock.patch.object(sylvester, "SWEEP_CHUNK", chunk):
             got = is_psd_full(a)
         assert got == want and same_float(got.witness.value, want.witness.value)
+
+
+@st.composite
+def equivalence_matrices(draw):
+    """Integer zero-row-sum matrices and signed or positive Laplacians,
+    connected or not, scaled by 10^-6..10^6."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = draw(st.sampled_from(["integer", "signed", "positive", "signed-disconnected", "positive-disconnected"]))
+    if shape == "integer":
+        a = random_zero_row_sum_matrix(rng, n)
+    else:
+        g = random_signed_graph(rng, n, int(rng.integers(0, n * (n - 1) // 2 + 1)),
+                                connected=not shape.endswith("disconnected"))
+        if shape.startswith("positive"):
+            g = WeightedGraph(n, tuple((i, j, abs(w)) for i, j, w in g.edges))
+        a = laplacian(g)
+    return a * 10.0 ** draw(st.integers(min_value=-6, max_value=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(equivalence_matrices(), st.sampled_from([1, 3, 7, sylvester.SWEEP_CHUNK]))
+def test_five_way_check_matches_looped_oracle(a, chunk):
+    want = looped_equivalences(a)
+    with mock.patch.object(sylvester, "SWEEP_CHUNK", chunk):
+        assert check_equivalences(a) == want
+
+
+def test_five_way_check_takes_batched_determinants_only(monkeypatch):
+    n = 10
+    L = laplacian(random_positive_graph(np.random.default_rng(13), n, 2 * n))
+    loops, batches = [], []
+    det = np.linalg.det
+    monkeypatch.setattr(sylvester, "det_partial_pivot", lambda a: loops.append(a) or 1.0)
+    monkeypatch.setattr(np.linalg, "det", lambda a: batches.append(a.shape) or det(a))
+    assert check_equivalences(L).values() == (True,) * 5  # max-rank PSD: every size is swept
+    assert loops == []
+    assert len(batches) <= n - 1
 
 
 WEIGHTS = st.one_of(st.integers(min_value=-4, max_value=-1), st.integers(min_value=1, max_value=4),

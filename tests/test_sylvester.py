@@ -24,7 +24,7 @@ from mesostab import (
     quadratic_form,
 )
 from mesostab import sylvester
-from mesostab.numerics import REL_TOL, det_partial_pivot, hadamard_bound
+from mesostab.numerics import REL_TOL, det_partial_pivot
 from mesostab.sylvester import _classify_by_eigenvalues
 
 C_MATRIX = np.array([
@@ -192,6 +192,13 @@ class TestEquivalences:
             report = check_equivalences(random_zero_row_sum_matrix(rng, n))
             assert report.all_agree, report.disagreements()
 
+    def test_singular_block_does_not_pass_cholesky_by_rounding(self):
+        # Cholesky of the leading block [[2, -2], [-2, 2]] succeeds with a last
+        # pivot of rounding size; the pivot tolerance must refuse it
+        report = check_equivalences(laplacian(WeightedGraph(3, ((1, 2, 2.0),))))
+        assert report.values() == (False,) * 5
+        assert report.all_agree
+
     def test_verdicts_are_scale_invariant(self):
         # all tolerances scale with the data, so rescaling must not flip
         # any verdict
@@ -239,7 +246,7 @@ def reference_certificate(L, rel=REL_TOL):
     for k in range(1, n):
         sub = L[:k, :k]
         minor = det_partial_pivot(sub)
-        threshold = rel * hadamard_bound(sub)
+        threshold = rel * float(np.prod(np.sqrt((sub * sub).sum(axis=1))))  # Hadamard bound
         if minor <= threshold:
             kind, rank, w = _classify_by_eigenvalues(L)
             if minor < -threshold:
