@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the analysis completes and the necessary conditions
 pass, 1 when an obstruction (or non-convergence) is found, 2 for input or
-guard errors. JSON output is byte-identical for identical inputs and
-options; wall-clock timings therefore appear only in text output.
+guard errors and for inputs too large to allocate. JSON output is
+byte-identical for identical inputs and options; wall-clock timings
+therefore appear only in text output.
 """
 
 from __future__ import annotations
@@ -314,6 +315,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, GuardLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -3,12 +3,16 @@
 Graphs travel as edge lists ("n m" header, then one "i j w" line per edge),
 matrices as square CSV, oscillator systems as a header count, an "omega:"
 line, and coupling lines. All parsers reject NaN/Inf and report the
-offending line number.
+offending line number. Oscillator files in the plain layout that
+``format_kuramoto`` writes are read in one bulk pass; every other layout,
+and every error, goes through the per-line reader.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from typing import Optional
 
 import numpy as np
 
@@ -109,6 +113,68 @@ def format_matrix_csv(a: np.ndarray) -> str:
 
 
 def parse_kuramoto(text: str) -> KuramotoSystem:
+    system = _parse_kuramoto_plain(text)
+    return system if system is not None else _parse_kuramoto_lines(text)
+
+
+# The plain oscillator layout, the one ``format_kuramoto`` writes: an
+# ASCII-digit header, an "omega: " line, and "i j w" coupling lines with
+# digit labels, unsigned decimal weights, single spaces and "\n" endings.
+# A count of 19 or more digits could never match its omega line.
+_COUNT = re.compile("[0-9]{1,18}")
+_DECIMAL = "[0-9]+(?:\\.[0-9]*)?(?:[eE][-+]?[0-9]+)?"
+_FREQUENCY = re.compile(f"-?{_DECIMAL}")
+# Finds the line end before the first coupling line that is not plain. A
+# lookahead per line holds no backtracking state across lines, unlike a
+# repeated group, and the leading newline lets the search skip ahead to it.
+_NOT_PLAIN_COUPLING = re.compile(f"\\n(?![0-9]+ [0-9]+ {_DECIMAL}$)", re.M)
+
+
+def _parse_kuramoto_plain(text: str) -> Optional[KuramotoSystem]:
+    """The system of a valid plain oscillator file, read in bulk; None otherwise.
+
+    Every other file, valid or not, is left to ``_parse_kuramoto_lines``, so
+    the system is the same either way and only that reader writes errors.
+    """
+    header_end = text.find("\n")
+    omega_end = text.find("\n", header_end + 1)
+    if header_end < 0 or omega_end < 0 or not _COUNT.fullmatch(text, 0, header_end):
+        return None
+    n = int(text[:header_end])
+    omega_line = text[header_end + 1:omega_end]
+    if not omega_line.startswith("omega: "):
+        return None
+    tokens = omega_line[len("omega: "):].split(" ")
+    if len(tokens) != n or not all(map(_FREQUENCY.fullmatch, tokens)):
+        return None
+    omega = np.array([float(tok) for tok in tokens])
+    if text[-1] != "\n" or _NOT_PLAIN_COUPLING.search(text, omega_end, len(text) - 1):
+        return None
+    body = text[omega_end + 1:]
+    m = body.count("\n")
+    # One C call; np.fromstring rounds each decimal as float() does.
+    values = np.fromstring(body, sep=" ")
+    del body
+    if values.size != 3 * m:
+        return None
+    i, j, w = values[0::3], values[1::3], values[2::3]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    if not (
+        np.isfinite(omega).all() and np.isfinite(w).all() and (w > 0).all()
+        and (lo >= 1).all() and (hi <= n).all() and (lo < hi).all()
+    ):
+        return None
+    lo, hi = lo.astype(np.intp) - 1, hi.astype(np.intp) - 1
+    b = np.zeros((n, n))
+    b[lo, hi] = w
+    if np.count_nonzero(b) != m:  # a repeated pair wrote one entry twice
+        return None
+    b[hi, lo] = w
+    return KuramotoSystem(omega, b)
+
+
+def _parse_kuramoto_lines(text: str) -> KuramotoSystem:
+    """The per-line reader: takes every valid layout and writes every error."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError(1, "empty oscillator file")
@@ -154,10 +220,16 @@ def format_kuramoto(sys: KuramotoSystem) -> str:
 
 
 def parse_phases(text: str, n: int) -> np.ndarray:
+    """n phases in any layout; a count error names the line of phase n+1, else the last line."""
+    lines = _content_lines(text)
     values = []
-    for no, line in _content_lines(text):
+    surplus_no = None
+    for no, line in lines:
         values += [_parse_float(tok, no) for tok in line.split()]
+        if surplus_no is None and len(values) > n:
+            surplus_no = no
     if len(values) != n:
-        raise ParseError(1, f"expected {n} phases, got {len(values)}")
+        last_no = lines[-1][0] if lines else 1
+        raise ParseError(surplus_no or last_no, f"expected {n} phases, got {len(values)}")
     return np.array(values)
 

@@ -145,6 +145,18 @@ class TestKuramotoCommand:
         assert payload["equilibrium"] is None
         assert "no phase-locked state" in payload["verdict"]
 
+    def test_allocation_failure_exits_two(self, capsys, monkeypatch, two_node_file):
+        # Raised by a stand-in parser: a real allocation of this size could get
+        # the test process killed on a host that overcommits memory.
+        def too_large(text):
+            raise MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000)")
+
+        monkeypatch.setattr("mesostab.cli.parse_kuramoto", too_large)
+        assert main(["--format", "json", "kuramoto", str(two_node_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not enough memory: Unable to allocate 298. GiB")
+
     def test_empty_seed_phases_is_usage_error(self, capsys, two_node_file):
         with pytest.raises(SystemExit) as exc:
             main(["--format", "json", "kuramoto", str(two_node_file), "--seed-phases", ""])
