@@ -26,7 +26,6 @@ from .sylvester import (
     DEFAULT_N_MAX,
     DefinitenessVerdict,
     certifies_psd_max_rank,
-    eigen_rank,
     is_psd_full,
     is_psd_zero_row_sum,
 )
@@ -92,9 +91,9 @@ def analyze_matrix(a: np.ndarray, *, rel: float = REL_TOL, n_max: int = DEFAULT_
     cut_edges_list = cut_edges(g, cut).edge_tuples() if cut is not None else ()
     lines = tuple(line_obstruction_scan(g, rel))
 
-    # A refused certificate has already classified -a by its eigenvalues with the
-    # same threshold, and LAPACK's spectrum of -a is exactly the negated one of a.
-    rank = eigen_rank(a) if certified else certificate.rank_estimate
+    # A held certificate proves rank n-1; a refused one has already classified -a
+    # by its eigenvalues, whose spectrum is exactly the negated one of a.
+    rank = certificate.rank_estimate
     if certified:
         verdict = PASSES
     elif (full is not None and full.witness is not None) or certificate.witness is not None \

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -254,33 +254,11 @@ def incidence_factorization(g: WeightedGraph) -> OrientedIncidence:
     return OrientedIncidence(g.n, m, weights, tuple(idx for idx, *_ in cols))
 
 
-class _UnionFind:
-    """Dict union-find for the small edge subsets of the forest oracles,
-    where numpy's per-call overhead would dominate."""
-
-    def __init__(self, labels: Iterable[int]):
-        self.parent = {v: v for v in labels}
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-    def groups(self) -> list[frozenset[int]]:
-        """The classes, ordered by smallest label."""
-        classes: dict[int, set[int]] = {}
-        for v in self.parent:
-            classes.setdefault(self.find(v), set()).add(v)
-        return [frozenset(c) for c in sorted(classes.values(), key=min)]
+def _subset_forest(k: EdgeSubset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_edge_forest`` of the subset's edges."""
+    i, j, _ = k.host._arrays
+    idx = np.array(k.sorted_members(), dtype=np.int64)
+    return _edge_forest(i[idx], j[idx])
 
 
 def connected_components(k: EdgeSubset) -> list[frozenset[int]]:
@@ -288,20 +266,13 @@ def connected_components(k: EdgeSubset) -> list[frozenset[int]]:
 
     Deterministic order: by smallest vertex label.
     """
-    uf = _UnionFind(k.touched_vertices())
-    for i, j, _ in k.edge_tuples():
-        uf.union(i, j)
-    return uf.groups()
+    verts, labels, _ = _subset_forest(k)
+    return _classes(labels, verts)
 
 
 def is_forest(k: EdgeSubset) -> bool:
     """True iff the edge-induced subgraph is acyclic (loops are cycles)."""
-    for i, j, _ in k.edge_tuples():
-        if i == j:
-            return False
-    comps = connected_components(k)
-    touched = sum(len(c) for c in comps)
-    return len(k) == touched - len(comps)
+    return len(_subset_forest(k)[2]) == len(k)
 
 
 def cut_edges(g: WeightedGraph, v1: Iterable[int]) -> EdgeSubset:
@@ -373,12 +344,22 @@ def graph_components(g: WeightedGraph) -> list[frozenset[int]]:
     return _classes(_index_forest(g.n, i, j)[0])
 
 
-def _classes(labels: np.ndarray) -> list[frozenset[int]]:
-    """The classes of ``_index_forest`` labels as 1-based vertex sets, by smallest vertex."""
-    # Labels name each class's smallest vertex, so sorting by label orders the classes.
+def _classes(labels: np.ndarray, verts: Optional[np.ndarray] = None) -> list[frozenset[int]]:
+    """The classes of ``_index_forest`` labels as 1-based vertex sets, by smallest vertex;
+    ``verts`` gives the 0-based vertex at each position, ascending (default: the position)."""
+    # Labels name each class's smallest position, so sorting by label orders the classes.
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    return [frozenset(part.tolist()) for part in np.split(order + 1, cuts)] if labels.size else []
+    names = order if verts is None else verts[order]
+    return [frozenset(part.tolist()) for part in np.split(names + 1, cuts)] if labels.size else []
+
+
+def _edge_forest(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices the edges (i, j) touch, ascending, and ``_index_forest`` of
+    the edges on those vertices alone, each numbered by its position."""
+    ends = np.sort(np.concatenate([i, j]))
+    verts = ends[np.diff(ends, prepend=-1) != 0]
+    return (verts, *_index_forest(len(verts), np.searchsorted(verts, i), np.searchsorted(verts, j)))
 
 
 def _index_forest(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from typing import Optional
 
 import numpy as np
@@ -38,13 +39,22 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+ECHO_LIMIT = 40
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _echo(token: str) -> str:
+    """``token`` quoted for a message, cut to ``ECHO_LIMIT`` characters."""
+    return repr(token) if len(token) <= ECHO_LIMIT else f"{token[:ECHO_LIMIT]!r}..."
+
+
 def _parse_float(token: str, line: int) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise ParseError(line, f"not a number: {token!r}") from None
+        raise ParseError(line, f"not a number: {_echo(token)}") from None
     if not math.isfinite(value):
-        raise ParseError(line, f"non-finite value {token!r} rejected")
+        raise ParseError(line, f"non-finite value {_echo(token)} rejected")
     return value
 
 
@@ -52,7 +62,11 @@ def _parse_int(token: str, line: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(line, f"not an integer: {token!r}") from None
+        if _INTEGER.fullmatch(token):  # spelt as an integer, so int() refused its length
+            digits = sum(ch.isdecimal() for ch in token)
+            raise ParseError(line, f"integer {_echo(token)} has {digits} digits, more than Python's "
+                                   f"limit of {sys.get_int_max_str_digits()}") from None
+        raise ParseError(line, f"not an integer: {_echo(token)}") from None
 
 
 def parse_edge_list(text: str) -> WeightedGraph:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,11 +19,14 @@ from .graphs import (
     EdgeSubset,
     OrientedIncidence,
     WeightedGraph,
+    _edge_forest,
     _vertex_subset,
-    connected_components,
-    is_forest,
 )
 from .numerics import GuardLimitError, det_bareiss, det_partial_pivot, require_square
+
+# Family members per array-forest check; their disjoint union then spans at most
+# CHECK_SLICE * 64 vertices, as the enumeration is guarded at 32 edges.
+CHECK_SLICE = 256
 
 
 @dataclass(frozen=True)
@@ -53,24 +56,24 @@ def principal_minor_direct(L: np.ndarray, s: Iterable[int]) -> float:
 
 
 def _forest_leaves(n: int, candidates: Sequence[tuple[int, int, int, float]],
-                   special: Sequence[bool], size: int,
-                   universe: Optional[Sequence[int]] = None) -> list[tuple[tuple[int, ...], float]]:
+                   special: Iterable[int], size: int) -> list[tuple[tuple[int, ...], float]]:
     """Backtracking enumeration of marked forests.
 
     Picks ``size`` edges from ``candidates`` (each (index, i, j, w), ordered
     by index) so that the chosen edges form a forest in which no component
-    holds two ``special`` vertices. A leaf is kept when every component
-    (every vertex of ``universe`` counting as a component when given,
-    otherwise only edge-touched components) contains exactly one special
-    vertex. Returns (member indices, weight product) pairs in lexicographic
-    member order.
+    holds two of the vertices ``special`` lists. Returns (member indices,
+    weight product) pairs in lexicographic member order.
+
+    Both callers ask for as many edges as leave one tree per special vertex
+    on the vertices the candidates can join (all of them for a forest family,
+    side v1 for the cut decomposition). As no tree holds two special
+    vertices, each holds exactly one, so a leaf needs no test of its own.
     """
     parent = list(range(n + 1))
     compsize = [1] * (n + 1)
     spec = [0] * (n + 1)
-    for v in range(1, n + 1):
-        if special[v]:
-            spec[v] = 1
+    for v in special:
+        spec[v] = 1
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -80,19 +83,10 @@ def _forest_leaves(n: int, candidates: Sequence[tuple[int, int, int, float]],
     m = len(candidates)
     leaves: list[tuple[tuple[int, ...], float]] = []
     path: list[int] = []
-    touched: list[int] = []
-
-    def leaf_ok() -> bool:
-        if universe is not None:
-            roots = {find(v) for v in universe}
-        else:
-            roots = {find(v) for v in touched}
-        return all(spec[r] == 1 for r in roots)
 
     def descend(pos: int, chosen: int, prod: float) -> None:
         if chosen == size:
-            if leaf_ok():
-                leaves.append((tuple(path), prod))
+            leaves.append((tuple(path), prod))
             return
         limit = m - (size - chosen) + 1
         for t in range(pos, limit):
@@ -108,56 +102,69 @@ def _forest_leaves(n: int, candidates: Sequence[tuple[int, int, int, float]],
             compsize[ri] += compsize[rj]
             spec[ri] += spec[rj]
             path.append(idx)
-            touched.append(i)
-            touched.append(j)
             descend(t + 1, chosen + 1, prod * w)
-            touched.pop()
-            touched.pop()
             path.pop()
             spec[ri] -= spec[rj]
             compsize[ri] -= compsize[rj]
             parent[rj] = rj
-        return
 
-    if size == 0:
-        if leaf_ok():
-            leaves.append(((), 1.0))
-        return leaves
     descend(0, 0, 1.0)
     return leaves
 
 
 def _family_leaves(g: WeightedGraph, subset: Sequence[int]) -> list[tuple[tuple[int, ...], float]]:
-    in_s = [False] * (g.n + 1)
-    for v in subset:
-        in_s[v] = True
-    special = [not in_s[v] for v in range(g.n + 1)]
-    special[0] = False
     candidates = [(idx, i, j, w) for idx, i, j, w in g.simple_edges()]
-    return _forest_leaves(g.n, candidates, special, len(subset))
+    return _forest_leaves(g.n, candidates, set(g.vertices).difference(subset), len(subset))
+
+
+def _require_edge_guard(g: WeightedGraph) -> None:
+    if len(g.edges) > 32:
+        raise GuardLimitError(f"forest enumeration is guarded at 32 edges, got {len(g.edges)}")
+
+
+def _check_members(g: WeightedGraph, subset: tuple[int, ...], members: Sequence[tuple[int, ...]]) -> None:
+    """Raise on the first member (a tuple of edge indices) that is not a
+    forest whose trees each hold exactly one vertex outside ``subset``.
+
+    Independent of the enumerator: one ``_edge_forest`` call runs over the
+    members' disjoint union, in which member f's vertex v is f·n + v.
+    """
+    n, count = g.n, len(members)
+    gi, gj, _ = g._arrays
+    sizes = [len(k) for k in members]
+    edges = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64, count=sum(sizes))
+    owner = np.repeat(np.arange(count), sizes)
+    verts, labels, forest = _edge_forest(owner * n + gi[edges], owner * n + gj[edges])
+    cyclic = np.bincount(owner[forest], minlength=count) < sizes
+    outside = np.ones(n, dtype=bool)
+    outside[np.array(subset) - 1] = False
+    leaving = np.bincount(labels[outside[verts % n]], minlength=len(verts))
+    # Ascending, so a member's first bad position is the smallest vertex, hence the label, of its first bad tree.
+    bad = np.flatnonzero(leaving[labels] != 1)
+    f = min(np.flatnonzero(cyclic).min(initial=count), (verts[bad] // n).min(initial=count))
+    if f == count:
+        return
+    if cyclic[f]:
+        raise AssertionError(f"enumeration produced a non-forest {members[f]}")
+    first = bad[np.searchsorted(verts[bad], f * n)]
+    comp = verts[labels == labels[first]] % n + 1
+    raise AssertionError(f"component {comp.tolist()} does not leave {subset} exactly once")
 
 
 def enumerate_forest_family(g: WeightedGraph, s: Iterable[int]) -> ForestFamily:
     """Exact enumeration of the forest family attached to vertex set ``s``.
 
     Members are returned in lexicographic edge-index order. Each member is
-    re-validated: it must be a forest and each of its trees must contain
-    exactly one vertex outside ``s``.
+    re-validated, ``CHECK_SLICE`` members at a time: it must be a forest and
+    each of its trees must contain exactly one vertex outside ``s``.
     """
     subset = _vertex_subset(s, g.n, allow_empty=False)
-    if len(g.edges) > 32:
-        raise GuardLimitError(f"forest enumeration is guarded at 32 edges, got {len(g.edges)}")
-    members = []
-    outside = set(g.vertices) - set(subset)
-    for indices, _ in _family_leaves(g, subset):
-        k = EdgeSubset(g, frozenset(indices))
-        if not is_forest(k):
-            raise AssertionError(f"enumeration produced a non-forest {indices}")
-        for comp in connected_components(k):
-            if len(comp & outside) != 1:
-                raise AssertionError(f"component {sorted(comp)} does not leave {subset} exactly once")
-        members.append(k)
-    return ForestFamily(subset, tuple(members))
+    _require_edge_guard(g)
+    paths = [indices for indices, _ in _family_leaves(g, subset)]
+    # Checked before the members are built, so the check's arrays never add to their memory.
+    for start in range(0, len(paths), CHECK_SLICE):
+        _check_members(g, subset, paths[start:start + CHECK_SLICE])
+    return ForestFamily(subset, tuple(EdgeSubset(g, frozenset(indices)) for indices in paths))
 
 
 def principal_minor_combinatorial(g: WeightedGraph, s: Iterable[int]) -> float:
@@ -167,8 +174,7 @@ def principal_minor_combinatorial(g: WeightedGraph, s: Iterable[int]) -> float:
     than |s|) and s equal to the full vertex set.
     """
     subset = _vertex_subset(s, g.n, allow_empty=False)
-    if len(g.edges) > 32:
-        raise GuardLimitError(f"forest enumeration is guarded at 32 edges, got {len(g.edges)}")
+    _require_edge_guard(g)
     return math.fsum(prod for _, prod in _family_leaves(g, subset))
 
 

@@ -142,17 +142,12 @@ def _tee_family(g: WeightedGraph, v1: tuple[int, ...], b: tuple[int, ...]) -> li
     """Forests inside side 1 that partition it into one tree per ``b`` vertex.
 
     Isolated vertices count as singleton trees, so the forests have exactly
-    |v1| - |b| edges and every tree contains exactly one vertex of ``b``.
+    |v1| - |b| edges, hence |b| trees, and every tree contains exactly one
+    vertex of ``b``.
     """
     v1set = set(v1)
     candidates = [(idx, i, j, w) for idx, i, j, w in g.simple_edges() if i in v1set and j in v1set]
-    special = [False] * (g.n + 1)
-    for v in b:
-        special[v] = True
-    size = len(v1) - len(b)
-    if size < 0:
-        return []
-    leaves = _forest_leaves(g.n, candidates, special, size, universe=v1)
+    leaves = _forest_leaves(g.n, candidates, b, len(v1) - len(b))
     return [frozenset(indices) for indices, _ in leaves]
 
 

@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from mesostab import (
+    EdgeSubset,
     KuramotoSystem,
     WeightedGraph,
     coates_graph,
@@ -191,6 +192,28 @@ class _DictUnionFind:
         for v in self.parent:
             classes.setdefault(self.find(v), set()).add(v)
         return [frozenset(c) for c in sorted(classes.values(), key=min)]
+
+
+def union_find_subset(k: EdgeSubset):
+    """Components of an edge subset (touched vertices only, by smallest
+    vertex) and whether it is acyclic, from a dict union-find taking its
+    edges one at a time; a loop closes a cycle."""
+    uf = _DictUnionFind(k.touched_vertices())
+    acyclic = all([uf.union(i, j) for i, j, _ in k.edge_tuples()])
+    return uf.groups(), acyclic
+
+
+def brute_force_forest_family(g: WeightedGraph, s):
+    """Sorted edge-index tuples of every |s|-edge subset, loops included, that
+    is a forest whose trees each hold exactly one vertex outside ``s``;
+    lexicographic order."""
+    outside = set(g.vertices) - set(s)
+    family = []
+    for combo in itertools.combinations(range(len(g.edges)), len(s)):
+        comps, acyclic = union_find_subset(EdgeSubset(g, frozenset(combo)))
+        if acyclic and all(len(c & outside) == 1 for c in comps):
+            family.append(combo)
+    return family
 
 
 def greedy_components(g: WeightedGraph):

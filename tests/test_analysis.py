@@ -22,7 +22,7 @@ C_MATRIX = np.array([[0, 0, 1, -1], [0, -1, 1, 0], [1, 1, -2, 0], [-1, 0, 0, 1]]
 
 
 @pytest.mark.parametrize("a, n_max, certified, calls", [
-    (-laplacian(WeightedGraph(3, ((1, 2, 1.0), (2, 3, 2.0)))), 20, True, 1),  # the report's rank
+    (-laplacian(WeightedGraph(3, ((1, 2, 1.0), (2, 3, 2.0)))), 20, True, 0),  # the certificate proves rank n-1
     (C_MATRIX, 20, False, 2),  # the certificate's fallback and the full sweep's rank
     (C_MATRIX, 3, False, 1),  # sweep skipped: the certificate's fallback only
 ])
@@ -33,6 +33,16 @@ def test_eigenvalue_calls_per_analysis(monkeypatch, a, n_max, certified, calls):
     report = analyze_matrix(a, n_max=n_max)
     assert report.certified == certified
     assert len(seen) == calls
+
+
+def test_certified_report_has_rank_n_minus_one():
+    # Two triangles joined by a weak bridge: the leading minors hold, so the rank
+    # is 5 although the second-smallest eigenvalue is below the eigenvalue threshold.
+    g = WeightedGraph(6, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (4, 5, 1.0), (4, 6, 1.0), (5, 6, 1.0),
+                          (3, 4, 3e-8)))
+    report = analyze_graph(g)
+    assert report.certified
+    assert report.rank_estimate == report.definiteness.rank_estimate == 5
 
 
 def test_passes_on_negated_positive_laplacian():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -156,6 +157,15 @@ class TestKuramotoCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: not enough memory: Unable to allocate 298. GiB")
+
+    def test_overlong_count_names_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("1" * 5000 + "\nomega: 0.5 -0.5\n1 2 1.0\n")
+        assert main(["--format", "json", "kuramoto", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"has 5000 digits, more than Python's limit of {sys.get_int_max_str_digits()}" in captured.err
+        assert len(captured.err) < 200
 
     def test_empty_seed_phases_is_usage_error(self, capsys, two_node_file):
         with pytest.raises(SystemExit) as exc:

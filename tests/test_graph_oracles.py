@@ -20,17 +20,21 @@ from helpers import (
     greedy_positive_forest,
     loop_coates_graph,
     signed_graph_phase_condition,
+    union_find_subset,
     walk_induced_lines,
 )
 from mesostab import (
+    EdgeSubset,
     KuramotoSystem,
     WeightedGraph,
     analyze_matrix,
     classify_stability,
     coates_graph,
+    connected_components,
     find_negative_cut,
     graph_components,
     induced_lines,
+    is_forest,
     positive_spanning_tree,
     spanning_phase_condition,
 )
@@ -106,6 +110,22 @@ def test_components_forest_and_cut_match_union_find(g):
     whole = [frozenset(g.vertices)]
     forest = _positive_spanning_forest(g, whole)
     assert (None if forest is None else forest.sorted_members()) == greedy_positive_forest(g, whole)
+
+
+@st.composite
+def edge_subsets(draw):
+    """Subsets of graphs with loops and isolated vertices, the empty subset included."""
+    g = draw(shuffled_edge_lists())
+    members = draw(st.sets(st.integers(min_value=0, max_value=len(g.edges) - 1))) if g.edges else set()
+    return EdgeSubset(g, frozenset(members))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_subsets())
+def test_subset_components_and_forest_match_union_find(k):
+    comps, acyclic = union_find_subset(k)
+    assert connected_components(k) == comps
+    assert is_forest(k) == acyclic
 
 
 @settings(max_examples=300, deadline=None)

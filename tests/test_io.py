@@ -1,5 +1,6 @@
 """File-format parsing: round trips and rejection with line numbers."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -51,6 +52,26 @@ class TestEdgeList:
     def test_zero_weight_rejected(self):
         with pytest.raises(ParseError, match="invalid weight"):
             parse_edge_list("2 1\n1 2 0.0\n")
+
+
+class TestEchoedTokens:
+    @pytest.mark.parametrize("text, message", [
+        ("2 1\n1 2 " + "x" * 500 + "\n", "line 2: not a number: '" + "x" * 40 + "'..."),
+        ("2 1\n1 2 " + "9" * 500 + "\n", "line 2: non-finite value '" + "9" * 40 + "'... rejected"),
+        ("2 1\n1 " + "y" * 500 + " 1.0\n", "line 2: not an integer: '" + "y" * 40 + "'..."),
+        ("2 1\n1 2 " + "x" * 40 + "\n", "line 2: not a number: '" + "x" * 40 + "'"),
+    ])
+    def test_long_token_is_cut(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
+
+    def test_overlong_integer_names_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list("-" + "1" * (limit + 1) + " 1\n")
+        assert str(exc.value) == (f"line 1: integer '-{'1' * 39}'... has {limit + 1} digits, "
+                                  f"more than Python's limit of {limit}")
 
 
 class TestMatrixCsv:

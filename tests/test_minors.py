@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import brute_force_spanning_trees, random_signed_graph
+from helpers import brute_force_forest_family, brute_force_spanning_trees, random_signed_graph
 from mesostab import (
     EdgeSubset,
     WeightedGraph,
@@ -19,6 +19,8 @@ from mesostab import (
     principal_minor_combinatorial,
     principal_minor_direct,
 )
+from mesostab import minors
+from mesostab.numerics import GuardLimitError
 
 C_MATRIX = np.array([
     [0.0, 0.0, 1.0, -1.0],
@@ -104,6 +106,75 @@ class TestForestFamily:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             enumerate_forest_family(triangle(), [])
+
+    def test_matches_brute_force_for_every_subset(self):
+        # Connected and disconnected graphs, loops placed anywhere in the edge list.
+        rng = np.random.default_rng(43)
+        for trial in range(24):
+            n = int(rng.integers(1, 7))
+            g = random_signed_graph(rng, n, int(rng.integers(0, 9)), connected=trial % 2 == 0)
+            loops = [(v, v, 2.0) for v in range(1, n + 1) if rng.random() < 0.3]
+            edges = g.edges + tuple(loops)
+            g = WeightedGraph(n, tuple(edges[k] for k in rng.permutation(len(edges))))
+            for size in range(1, n + 1):
+                for s in itertools.combinations(range(1, n + 1), size):
+                    fam = enumerate_forest_family(g, s)
+                    assert [k.sorted_members() for k in fam.members] == brute_force_forest_family(g, s)
+
+    def test_edge_guard_counts_loops(self):
+        simple = [(i, j, 1.0) for i in range(1, 10) for j in range(i + 1, 10)][:30]
+        g = WeightedGraph(9, tuple(simple) + ((1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0)))
+        for f in (enumerate_forest_family, principal_minor_combinatorial):
+            with pytest.raises(GuardLimitError, match="^forest enumeration is guarded at 32 edges, got 33$"):
+                f(g, [1, 2])
+
+
+def complete_graph(n):
+    return WeightedGraph(n, tuple((i, j, 1.0) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+
+
+class TestFamilyCheck:
+    """A bad member injected into the enumerator's output is caught, in the
+    first 256-member slice of the check and past it."""
+
+    # K6 edges in index order: 12 13 14 15 16 23 24 25 26 34 35 36 45 46 56 (0..14).
+    # S = {1,2,3,4} has 432 members, each with 4 edges and two trees.
+    S = (1, 2, 3, 4)
+
+    def _inject(self, monkeypatch, position, member):
+        g = complete_graph(6)
+        leaves = minors._family_leaves(g, self.S)
+        assert len(leaves) == 432
+        leaves[position] = (member, 1.0)
+        monkeypatch.setattr(minors, "_family_leaves", lambda *args: leaves)
+        with pytest.raises(AssertionError) as exc:
+            enumerate_forest_family(g, self.S)
+        return str(exc.value)
+
+    @pytest.mark.parametrize("position", [0, 10, 255, 256, 300, 431])
+    def test_cycle_is_caught(self, monkeypatch, position):
+        # triangle 1-2-3 plus the edge 4-5
+        assert self._inject(monkeypatch, position, (0, 1, 5, 12)) == \
+            "enumeration produced a non-forest (0, 1, 5, 12)"
+
+    @pytest.mark.parametrize("position", [10, 300])
+    @pytest.mark.parametrize("member, text", [
+        ((3, 4, 5, 9), "component [1, 5, 6] does not leave (1, 2, 3, 4) exactly once"),  # two outside
+        ((0, 10, 11, 12), "component [1, 2] does not leave (1, 2, 3, 4) exactly once"),  # none, then two
+        ((3, 5, 13), "component [2, 3] does not leave (1, 2, 3, 4) exactly once"),  # second tree has none
+    ])
+    def test_tree_leaving_s_more_or_less_than_once_is_caught(self, monkeypatch, position, member, text):
+        assert self._inject(monkeypatch, position, member) == text
+
+    def test_first_bad_member_is_named(self, monkeypatch):
+        g = complete_graph(6)
+        leaves = minors._family_leaves(g, self.S)
+        leaves[300] = ((3, 4, 5, 9), 1.0)
+        leaves[301] = ((0, 1, 5, 12), 1.0)
+        leaves[400] = ((0, 1, 5, 12), 1.0)
+        monkeypatch.setattr(minors, "_family_leaves", lambda *args: leaves)
+        with pytest.raises(AssertionError, match=r"^component \[1, 5, 6\]"):
+            enumerate_forest_family(g, self.S)
 
 
 class TestCombinatorialMinor:
