@@ -2,6 +2,9 @@
 forest-cutting decomposition with its alternating-sum identity, and the
 harmonic weight bound on induced lines.
 
+The identity takes each crossing-forest weight in closed form, a product
+of per-vertex crossing sums; only the decomposition lists the forests.
+
 Loops are ignored by every operation here.
 """
 
@@ -21,7 +24,6 @@ from .graphs import (
     _index_forest,
     _simple_columns,
     _vertex_subset,
-    connected_components,
     cut_edges,
     induced_lines,
     laplacian,
@@ -112,20 +114,6 @@ def _crossing_pools(g: WeightedGraph, v1: frozenset[int]) -> dict[int, list[int]
     return pools
 
 
-def _sigma_family(pools: dict[int, list[int]], b: tuple[int, ...]) -> list[frozenset[int]]:
-    """Forests of crossing edges whose side-1 endpoints are exactly ``b``.
-
-    Each vertex of ``b`` contributes exactly one of its crossing edges (its
-    pool from ``_crossing_pools``), so the family is the product of the
-    per-vertex choices; the empty ``b`` yields the family holding only the
-    empty edge set.
-    """
-    chosen = [pools[v] for v in b]
-    if not all(chosen):
-        return []
-    return [frozenset(choice) for choice in itertools.product(*chosen)]
-
-
 @functools.lru_cache(maxsize=1)
 def _minor_table(g: WeightedGraph) -> tuple[np.ndarray, dict[tuple[int, ...], float]]:
     """The Laplacian of ``g`` and its principal minors by subset, filled on demand.
@@ -192,7 +180,8 @@ def cut_decomposition(g: WeightedGraph, v1: Iterable[int], c: Iterable[int]) -> 
     union: set[frozenset[int]] = set()
     for r in range(len(rest) + 1):
         for b in itertools.combinations(rest, r):
-            crossing = _sigma_family(pools, b)
+            # one crossing edge per vertex of b; an empty pool yields no forest
+            crossing = [frozenset(choice) for choice in itertools.product(*(pools[v] for v in b))]
             if not crossing:
                 continue
             marker = tuple(sorted(set(removed) | set(b)))
@@ -220,23 +209,26 @@ def cut_identity_terms(g: WeightedGraph, v1: Iterable[int]) -> list[float]:
 
     Term for marker set C: (-1)^|C| times the crossing-forest weight of C
     times the Laplacian principal minor of v1 minus C, with the empty minor
-    equal to 1. Markers whose crossing weight is zero are skipped; the terms
-    come in subset order (sizes ascending, lexicographic within a size) and
-    sum to zero in exact arithmetic.
+    equal to 1. A crossing forest of C takes one crossing edge per vertex of
+    C, so the weight is the product over C, in ascending order, of s_v, the
+    summed weight of v's crossing edges. Markers whose crossing weight is
+    zero are skipped; the terms come in subset order (sizes ascending,
+    lexicographic within a size). They sum to zero in exact arithmetic: the
+    Laplacian block on v1 is L(G[v1]) + diag(s), and L(G[v1]) has zero row
+    sums, so by multilinearity of the determinant the sum is det L(G[v1]) = 0.
     """
     side = _vertex_subset(v1, g.n, allow_empty=False)
     if len(side) >= g.n:
         raise ValueError("v1 must be a proper non-empty vertex subset")
     if len(side) > CUT_GUARD:
         raise GuardLimitError(f"cut identity is guarded at |v1|={CUT_GUARD}, got {len(side)}")
-    pools = _crossing_pools(g, frozenset(side))
     weights = [w for _, _, w in g.edges]
+    s = {v: math.fsum(weights[e] for e in pool) for v, pool in _crossing_pools(g, frozenset(side)).items()}
     L, minors = _minor_table(g)
     terms = []
     for r in range(len(side) + 1):
         for c in itertools.combinations(side, r):
-            members = _sigma_family(pools, c)
-            weight = math.fsum(math.prod(weights[e] for e in d) for d in members)
+            weight = math.prod(s[v] for v in c)
             if weight == 0.0:
                 continue
             rest = tuple(v for v in side if v not in c)
@@ -275,14 +267,21 @@ def _require_induced_line(g: WeightedGraph, h: EdgeSubset) -> None:
             within[idx] = (i, j)
     if set(within) != set(h.members):
         raise ValueError("edge set is not induced: its vertices carry extra edges")
-    local = {v: 0 for v in verts}
+    neighbours = {v: [] for v in verts}
     for i, j in within.values():
-        local[i] += 1
-        local[j] += 1
-    ends = [v for v in verts if local[v] == 1]
-    connected = len(connected_components(h)) == 1
-    if len(h.members) < 2 or len(ends) != 2 or not connected \
-            or any(local[v] != 2 for v in verts if v not in ends):
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    ends = [v for v in verts if len(neighbours[v]) == 1]
+    simple = len(h.members) >= 2 and len(ends) == 2 \
+        and all(len(neighbours[v]) == 2 for v in verts if v not in ends)
+    if simple:
+        # degrees alone pass a path beside disjoint cycles; a walk from one end covers only the path
+        prev, cur, walked = None, ends[0], 1
+        while cur != ends[1]:
+            prev, cur = cur, next(u for u in neighbours[cur] if u != prev)
+            walked += 1
+        simple = walked == len(verts)
+    if not simple:
         raise ValueError("edge set is not a simple path with two endpoints")
     if any(deg[v] != 2 for v in verts if v not in ends):
         raise ValueError("an interior vertex has degree other than 2 in the host graph")

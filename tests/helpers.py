@@ -343,18 +343,31 @@ def looped_equivalences(L, rel=REL_TOL):
     )
 
 
-def _rescanned_sigma_weight(g: WeightedGraph, v1: frozenset, b: tuple) -> float:
+def _rescanned_pools(g: WeightedGraph, v1: frozenset, b: tuple) -> list[list[int]]:
+    """Each ``b`` vertex's crossing edges out of ``v1``, ascending, from a fresh scan."""
     incident = {v: [] for v in b}
     for idx, i, j, _ in g.simple_edges():
         if (i in v1) != (j in v1):
             inside = i if i in v1 else j
             if inside in incident:
                 incident[inside].append(idx)
-    pools = [sorted(incident[v]) for v in b]
+    return [sorted(incident[v]) for v in b]
+
+
+def _rescanned_sigma_weight(g: WeightedGraph, v1: frozenset, b: tuple) -> float:
+    """The paper's crossing-forest weight of ``b``: every forest with one
+    crossing edge per ``b`` vertex listed, and the products of their weights summed."""
+    pools = _rescanned_pools(g, v1, b)
     if any(not pool for pool in pools):
         return 0.0
     members = [frozenset(choice) for choice in itertools.product(*pools)]
     return math.fsum(math.prod(g.edges[e][2] for e in d) for d in members)
+
+
+def rescanned_closed_weight(g: WeightedGraph, v1: frozenset, b: tuple) -> float:
+    """The crossing-forest weight of ``b`` in closed form: the product, in
+    ascending vertex order, of each ``b`` vertex's summed crossing weights."""
+    return math.prod(math.fsum(g.edges[e][2] for e in pool) for pool in _rescanned_pools(g, v1, b))
 
 
 def rescanned_cut_identity_terms(g: WeightedGraph, v1):
@@ -365,7 +378,7 @@ def rescanned_cut_identity_terms(g: WeightedGraph, v1):
     terms = []
     for r in range(len(side) + 1):
         for c in itertools.combinations(side, r):
-            weight = _rescanned_sigma_weight(g, v1set, c)
+            weight = rescanned_closed_weight(g, v1set, c)
             if weight == 0.0:
                 continue
             rest = tuple(sorted(set(side) - set(c)))

@@ -287,7 +287,7 @@ class TestLineBounds:
             (4, 5, 1.0), (5, 6, 1.0), (4, 6, 1.0),
         ))
         fake = EdgeSubset(g, frozenset(range(5)))
-        with pytest.raises(ValueError, match="not"):
+        with pytest.raises(ValueError, match="simple path"):
             line_weight_bound(g, fake, 1)
 
     def test_scan_all_positive(self):

@@ -1,14 +1,17 @@
 """The exhaustive subset sweeps against their one-shot forms.
 
 The principal-minor sweep streams each subset size in chunks and stops at
-its verdict; the cut identity builds each side's crossing pools once and
+its verdict; the cut identity sums each side's crossing pools once and
 shares the Laplacian minors of one graph across sides. Both must return
 exactly what the oracles in ``helpers`` return, floats bit for bit. The
-five-way check walks the same chunks as the sweep and must return the
-report of its one-subset-at-a-time form.
+cut identity's closed-form crossing weights must also agree with the
+paper's forest-by-forest expansion. The five-way check walks the same
+chunks as the sweep and must return the report of its one-subset-at-a-time
+form.
 """
 
 import itertools
+import math
 import struct
 from unittest import mock
 
@@ -17,7 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import looped_equivalences, random_positive_graph, rescanned_cut_identity_terms, unchunked_sweep
+from helpers import (
+    _rescanned_sigma_weight,
+    looped_equivalences,
+    random_positive_graph,
+    rescanned_closed_weight,
+    rescanned_cut_identity_terms,
+    unchunked_sweep,
+)
 from mesostab import (
     WeightedGraph,
     check_equivalences,
@@ -175,6 +185,31 @@ def test_cut_identity_terms_match_rescanning_oracle(g):
             want = rescanned_cut_identity_terms(g, side)
             assert got == want
             assert all(same_float(x, y) for x, y in zip(got, want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(identity_graphs())
+def test_closed_form_crossing_weight_matches_forest_expansion(g):
+    # With k markers the closed form rounds each crossing sum once and the
+    # product k - 1 times, the expansion each forest's product k - 1 times
+    # and their sum once. Relative to the summed absolute forest products
+    # (the closed weight on |w|) they lie within about 2k - 1 and k units of
+    # roundoff of the exact weight, so 3k units bound their gap.
+    unit = 2.0**-53
+    magnitudes = WeightedGraph(g.n, tuple((i, j, abs(w)) for i, j, w in g.edges))
+    integral = all(w.is_integer() for _, _, w in g.edges)
+    for size in range(1, g.n):
+        for side in itertools.combinations(range(1, g.n + 1), size):
+            v1 = frozenset(side)
+            for r in range(size + 1):
+                for b in itertools.combinations(side, r):
+                    closed = rescanned_closed_weight(g, v1, b)
+                    forests = _rescanned_sigma_weight(g, v1, b)
+                    if integral:
+                        assert closed == forests
+                    else:
+                        bound = 3 * r * unit * rescanned_closed_weight(magnitudes, v1, b)
+                        assert abs(closed - forests) <= bound
 
 
 def test_cut_identity_terms_survive_an_equal_graph():
