@@ -47,6 +47,7 @@ from .structure import (
     CutFamily,
     LineBoundReport,
     cut_decomposition,
+    cut_identity_sweep,
     cut_identity_terms,
     find_negative_cut,
     line_obstruction_scan,
@@ -90,6 +91,7 @@ __all__ = [
     "connected_components",
     "cut_decomposition",
     "cut_edges",
+    "cut_identity_sweep",
     "cut_identity_terms",
     "enumerate_forest_family",
     "find_equilibrium",

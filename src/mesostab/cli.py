@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -31,7 +30,7 @@ from .kuramoto import (
     spanning_phase_condition,
 )
 from .numerics import REL_TOL, GuardLimitError
-from .structure import cut_identity_terms
+from .structure import cut_identity_sweep, cut_identity_terms
 from .sylvester import DEFAULT_N_MAX, DefinitenessVerdict, MinorWitness, VectorWitness
 
 SCHEMA = "mesostab/1"
@@ -154,23 +153,12 @@ def _base_payload(command: str, path: Path, args) -> dict:
     }
 
 
-def _cmd_analyze_matrix(args) -> int:
+def _cmd_analyze(args, command: str, parse, analyze) -> int:
     path = Path(args.input)
-    a = parse_matrix_csv(path.read_text())
+    parsed = parse(path.read_text())
     started = time.perf_counter()
-    report = analyze_matrix(a, rel=args.tol, n_max=args.nmax)
-    payload = _base_payload("analyze-matrix", path, args)
-    payload["report"] = _report_dict(report)
-    _emit(payload, args, time.perf_counter() - started)
-    return EXIT_OK if report.verdict == PASSES else EXIT_OBSTRUCTION
-
-
-def _cmd_analyze_graph(args) -> int:
-    path = Path(args.input)
-    g = parse_edge_list(path.read_text())
-    started = time.perf_counter()
-    report = analyze_graph(g, rel=args.tol, n_max=args.nmax)
-    payload = _base_payload("analyze-graph", path, args)
+    report = analyze(parsed, rel=args.tol, n_max=args.nmax)
+    payload = _base_payload(command, path, args)
     payload["report"] = _report_dict(report)
     _emit(payload, args, time.perf_counter() - started)
     return EXIT_OK if report.verdict == PASSES else EXIT_OBSTRUCTION
@@ -215,22 +203,16 @@ def _cmd_verify_identity(args) -> int:
             raise ValueError(f"--v1 must be comma-separated vertex labels, got {args.v1!r}") from None
         if len(set(side)) < len(side):
             raise ValueError(f"--v1 must not repeat a vertex label, got {args.v1!r}")
-        sides = [side]
+        checks = [(side, cut_identity_terms(g, side))]
     else:
-        if g.n > 12:
-            raise GuardLimitError(
-                f"sweeping all proper subsets is guarded at n=12, got n={g.n}; pass --v1 explicitly"
-            )
-        sides = [
-            combo
-            for size in range(1, g.n)
-            for combo in itertools.combinations(range(1, g.n + 1), size)
-        ]
+        try:
+            checks = cut_identity_sweep(g)
+        except GuardLimitError as exc:
+            raise GuardLimitError(f"{exc}; pass --v1 explicitly") from None
     worst = 0.0
     results = []
     ok = True
-    for side in sides:
-        terms = cut_identity_terms(g, side)
+    for side, terms in checks:
         residual = math.fsum(terms)
         scale = sum(abs(t) for t in terms)
         tolerance = args.tol * max(1.0, scale)
@@ -286,11 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-matrix", help="obstruction pipeline on a CSV matrix")
     p.add_argument("input")
-    p.set_defaults(func=_cmd_analyze_matrix)
+    # the parse and analyze functions are looked up when the command runs
+    p.set_defaults(func=lambda args: _cmd_analyze(args, "analyze-matrix", parse_matrix_csv, analyze_matrix))
 
     p = sub.add_parser("analyze-graph", help="obstruction pipeline on an edge-list graph")
     p.add_argument("input")
-    p.set_defaults(func=_cmd_analyze_graph)
+    p.set_defaults(func=lambda args: _cmd_analyze(args, "analyze-graph", parse_edge_list, analyze_graph))
 
     p = sub.add_parser("kuramoto", help="find a phase-locked state and classify its stability")
     p.add_argument("input")

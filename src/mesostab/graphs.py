@@ -167,6 +167,14 @@ class EdgeSubset:
                 raise ValueError(f"edge index {m} outside the host edge list")
         object.__setattr__(self, "members", members)
 
+    @classmethod
+    def _trusted(cls, host: WeightedGraph, members: frozenset[int]) -> EdgeSubset:
+        """Subset of Python int indices the package built itself, taken without the checks."""
+        k = object.__new__(cls)
+        object.__setattr__(k, "host", host)
+        object.__setattr__(k, "members", members)
+        return k
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -283,7 +291,7 @@ def cut_edges(g: WeightedGraph, v1: Iterable[int]) -> EdgeSubset:
     inside = np.zeros(g.n, dtype=bool)
     inside[np.array(side) - 1] = True
     idx, i, j, _ = _simple_columns(g)
-    return EdgeSubset(g, frozenset(idx[inside[i] != inside[j]].tolist()))
+    return EdgeSubset._trusted(g, frozenset(idx[inside[i] != inside[j]].tolist()))
 
 
 def induced_lines(g: WeightedGraph) -> list[EdgeSubset]:
@@ -325,7 +333,7 @@ def induced_lines(g: WeightedGraph) -> list[EdgeSubset]:
         else:
             if (min(u, cur), max(u, cur)) not in pairs:  # a chord between the endpoints closes a cycle
                 found.add(tuple(sorted(chain)))
-    return [EdgeSubset(g, frozenset(members)) for members in sorted(found)]
+    return [EdgeSubset._trusted(g, frozenset(members)) for members in sorted(found)]
 
 
 def _vertex_subset(s: Iterable[int], n: int, allow_empty: bool = True) -> tuple[int, ...]:

@@ -164,7 +164,7 @@ def enumerate_forest_family(g: WeightedGraph, s: Iterable[int]) -> ForestFamily:
     # Checked before the members are built, so the check's arrays never add to their memory.
     for start in range(0, len(paths), CHECK_SLICE):
         _check_members(g, subset, paths[start:start + CHECK_SLICE])
-    return ForestFamily(subset, tuple(EdgeSubset(g, frozenset(indices)) for indices in paths))
+    return ForestFamily(subset, tuple(EdgeSubset._trusted(g, frozenset(indices)) for indices in paths))
 
 
 def principal_minor_combinatorial(g: WeightedGraph, s: Iterable[int]) -> float:

@@ -10,11 +10,10 @@ Loops are ignored by every operation here.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -30,8 +29,12 @@ from .graphs import (
 )
 from .minors import _family_leaves, _forest_leaves, principal_minor_direct
 from .numerics import REL_TOL, GuardLimitError
+from .sylvester import _extend_combinations
 
 CUT_GUARD = 20
+
+# Largest vertex count whose 2^n - 2 proper sides ``cut_identity_sweep`` visits.
+_SIDE_SWEEP_GUARD = 12
 
 
 def _positive_forest(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +65,7 @@ def _positive_spanning_forest(g: WeightedGraph, components: Optional[list[frozen
     else:
         label = labels.tolist()
         spanned = all(len({label[v - 1] for v in _vertex_subset(comp, g.n)}) <= 1 for comp in components)
-    return EdgeSubset(g, frozenset(forest.tolist())) if spanned else None
+    return EdgeSubset._trusted(g, frozenset(forest.tolist())) if spanned else None
 
 
 def positive_spanning_tree(g: WeightedGraph) -> Optional[EdgeSubset]:
@@ -112,18 +115,6 @@ def _crossing_pools(g: WeightedGraph, v1: frozenset[int]) -> dict[int, list[int]
         if (i in v1) != (j in v1):
             pools[i if i in v1 else j].append(idx)
     return pools
-
-
-@functools.lru_cache(maxsize=1)
-def _minor_table(g: WeightedGraph) -> tuple[np.ndarray, dict[tuple[int, ...], float]]:
-    """The Laplacian of ``g`` and its principal minors by subset, filled on demand.
-
-    Kept for the last graph only, so sweeping the cut identity over many
-    sides of one graph computes each minor once.
-    """
-    L = laplacian(g)
-    L.flags.writeable = False
-    return L, {}
 
 
 def _tee_family(g: WeightedGraph, v1: tuple[int, ...], b: tuple[int, ...]) -> list[frozenset[int]]:
@@ -204,6 +195,47 @@ def cut_decomposition(g: WeightedGraph, v1: Iterable[int], c: Iterable[int]) -> 
     return CutFamily(side, removed, sigma, tee, ordered)
 
 
+def _crossing_sums(g: WeightedGraph, side: tuple[int, ...]) -> list[float]:
+    """s_v for each vertex of ``side``, in its order: the summed weight of v's crossing edges."""
+    pools = _crossing_pools(g, frozenset(side))
+    return [math.fsum(g.edges[e][2] for e in pools[v]) for v in side]
+
+
+def _marker_sets(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bitmasks of the subsets of range(k) in subset order, and (-1.0)^size of each."""
+    masks, signs = [np.zeros(1, dtype=np.int64)], [np.ones(1)]
+    combos = np.empty((1, 0), dtype=np.intp)
+    for r in range(1, k + 1):
+        combos = _extend_combinations(combos, k)
+        masks.append((1 << combos).sum(axis=1))
+        signs.append(np.full(len(combos), (-1.0) ** r))
+    return np.concatenate(masks), np.concatenate(signs)
+
+
+def _side_terms(s: np.ndarray, minors: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[list[float]]:
+    """Cut identity terms of equal-size sides, one row of ``s`` per side.
+
+    A row holds the side's s_v in ascending vertex order. Its marker weights
+    form a table by position bitmask in which a set's weight is that of the
+    set without its highest position times that position's s_v, so every
+    product runs from 1.0 in ascending vertex order, as ``math.prod`` does.
+    ``minors(masks, kept)`` gets the marker bitmasks in subset order and the
+    (side, marker) array of nonzero weights, and returns the minors of the
+    kept pairs in row-major order.
+    """
+    masks, signs = _marker_sets(s.shape[1])
+    # a product may overflow, and inf times a zero minor is nan, silently as with floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.ones((len(s), 1))
+        for t in range(s.shape[1]):
+            weights = np.hstack([weights, weights * s[:, t:t + 1]])
+        weights = weights[:, masks]
+        kept = weights != 0.0
+        values = ((signs * weights)[kept] * minors(masks, kept)).tolist()
+    ends = np.cumsum(kept.sum(axis=1)).tolist()
+    return [values[start:end] for start, end in zip([0] + ends, ends)]
+
+
 def cut_identity_terms(g: WeightedGraph, v1: Iterable[int]) -> list[float]:
     """Terms of the alternating cut identity for ``v1``.
 
@@ -212,34 +244,62 @@ def cut_identity_terms(g: WeightedGraph, v1: Iterable[int]) -> list[float]:
     equal to 1. A crossing forest of C takes one crossing edge per vertex of
     C, so the weight is the product over C, in ascending order, of s_v, the
     summed weight of v's crossing edges. Markers whose crossing weight is
-    zero are skipped; the terms come in subset order (sizes ascending,
-    lexicographic within a size). They sum to zero in exact arithmetic: the
-    Laplacian block on v1 is L(G[v1]) + diag(s), and L(G[v1]) has zero row
-    sums, so by multilinearity of the determinant the sum is det L(G[v1]) = 0.
+    zero are skipped, and only the minors of the others are computed; the
+    terms come in subset order (sizes ascending, lexicographic within a
+    size). They sum to zero in exact arithmetic: the Laplacian block on v1
+    is L(G[v1]) + diag(s), and L(G[v1]) has zero row sums, so by
+    multilinearity of the determinant the sum is det L(G[v1]) = 0.
     """
     side = _vertex_subset(v1, g.n, allow_empty=False)
     if len(side) >= g.n:
         raise ValueError("v1 must be a proper non-empty vertex subset")
     if len(side) > CUT_GUARD:
         raise GuardLimitError(f"cut identity is guarded at |v1|={CUT_GUARD}, got {len(side)}")
-    weights = [w for _, _, w in g.edges]
-    s = {v: math.fsum(weights[e] for e in pool) for v, pool in _crossing_pools(g, frozenset(side)).items()}
-    L, minors = _minor_table(g)
-    terms = []
-    for r in range(len(side) + 1):
-        for c in itertools.combinations(side, r):
-            weight = math.prod(s[v] for v in c)
-            if weight == 0.0:
-                continue
-            rest = tuple(v for v in side if v not in c)
-            if not rest:
-                minor = 1.0
-            elif rest in minors:
-                minor = minors[rest]
-            else:
-                minor = minors[rest] = principal_minor_direct(L, rest)
-            terms.append((-1.0) ** r * weight * minor)
-    return terms
+    L = laplacian(g)
+
+    def minors(masks: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        rests = ([v for t, v in enumerate(side) if not m >> t & 1] for m in masks[kept[0]].tolist())
+        return np.array([principal_minor_direct(L, rest) if rest else 1.0 for rest in rests])
+
+    return _side_terms(np.array([_crossing_sums(g, side)]), minors)[0]
+
+
+def cut_identity_sweep(g: WeightedGraph) -> Iterator[tuple[tuple[int, ...], list[float]]]:
+    """``(side, cut_identity_terms(g, side))`` for every proper non-empty side.
+
+    Sides come in subset order (sizes ascending, lexicographic within a
+    size) and the terms are those of ``cut_identity_terms``, bit for bit.
+    Every proper subset is the side minus some marker set, so the 2^n - 2
+    minors are filled once, into a table indexed by vertex bitmask, before
+    the first side; the sides of one size then take their terms together.
+    Raises ``GuardLimitError`` on the call itself when n exceeds 12.
+    """
+    if g.n > _SIDE_SWEEP_GUARD:
+        raise GuardLimitError(f"sweeping all proper subsets is guarded at n={_SIDE_SWEEP_GUARD}, got n={g.n}")
+    L = laplacian(g)
+    table = np.ones(1 << g.n)
+    by_size = []
+    combos = np.empty((1, 0), dtype=np.intp)
+    for _ in range(1, g.n):
+        combos = _extend_combinations(combos, g.n)
+        table[(1 << combos).sum(axis=1)] = [principal_minor_direct(L, (row + 1).tolist()) for row in combos]
+        by_size.append(combos)
+    return _swept_sides(g, table, by_size)
+
+
+def _swept_sides(g: WeightedGraph, table: np.ndarray, by_size: list[np.ndarray]
+                 ) -> Iterator[tuple[tuple[int, ...], list[float]]]:
+    """The sweep's sides, given as rows of 0-based vertices, and their terms, with minors from ``table``."""
+    for combos in by_size:
+        sides = [tuple(row) for row in (combos + 1).tolist()]
+        bits = 1 << combos
+
+        def minors(masks: np.ndarray, kept: np.ndarray) -> np.ndarray:
+            outside = 1 - ((masks[:, None] >> np.arange(bits.shape[1])) & 1)
+            return table[(bits[:, None, :] * outside).sum(axis=2)[kept]]
+
+        terms = _side_terms(np.array([_crossing_sums(g, side) for side in sides]), minors)
+        yield from zip(sides, terms)
 
 
 def verify_cut_identity(g: WeightedGraph, v1: Iterable[int]) -> float:

@@ -226,6 +226,15 @@ class TestSubsets:
         with pytest.raises(ValueError, match="edge index"):
             EdgeSubset(triangle(), frozenset({5}))
 
+    def test_trusted_subset_equals_the_validated_one(self):
+        g = random_signed_graph(np.random.default_rng(17), 6, 9)
+        for members in (frozenset(), frozenset({0}), frozenset({1, 4, 8})):
+            trusted = EdgeSubset._trusted(g, members)
+            checked = EdgeSubset(g, members)
+            assert trusted == checked
+            assert hash(trusted) == hash(checked)
+            assert trusted.sorted_members() == checked.sorted_members()
+
 
 class TestCuts:
     def test_triangle_single_vertex(self):
