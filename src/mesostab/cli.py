@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the analysis completes and the necessary conditions
 pass, 1 when an obstruction (or non-convergence) is found, 2 for input or
-guard errors and for inputs too large to allocate. JSON output is
+guard errors, for inputs too large to allocate and for inputs whose
+weighted degrees or cut identity overflow. JSON output is
 byte-identical for identical inputs and options; wall-clock timings
 therefore appear only in text output.
 """
@@ -192,6 +193,27 @@ def _cmd_kuramoto(args) -> int:
     return EXIT_OK if report.verdict == PASSES else EXIT_OBSTRUCTION
 
 
+def _residual_and_scale(side: tuple[int, ...], terms: list[float]) -> tuple[float, float]:
+    """The fsum of a side's identity terms and their summed magnitudes.
+
+    Raises OverflowError naming the side when a term, the residual or the
+    scale is not finite: an infinite scale would make any residual pass.
+    """
+    def overflow(what: str) -> OverflowError:
+        return OverflowError(f"cut identity on side V1={{{','.join(map(str, side))}}} overflows: {what} is not finite")
+
+    if not all(map(math.isfinite, terms)):
+        raise overflow("a term")
+    try:
+        residual = math.fsum(terms)
+    except OverflowError:
+        raise overflow("the residual") from None
+    scale = sum(abs(t) for t in terms)
+    if not math.isfinite(scale):
+        raise overflow("the term scale")
+    return residual, scale
+
+
 def _cmd_verify_identity(args) -> int:
     path = Path(args.input)
     g = parse_edge_list(path.read_text())
@@ -213,8 +235,7 @@ def _cmd_verify_identity(args) -> int:
     results = []
     ok = True
     for side, terms in checks:
-        residual = math.fsum(terms)
-        scale = sum(abs(t) for t in terms)
+        residual, scale = _residual_and_scale(side, terms)
         tolerance = args.tol * max(1.0, scale)
         within = abs(residual) <= tolerance
         ok = ok and within
@@ -296,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, GuardLimitError, ValueError, OSError) as exc:
+    except (ParseError, GuardLimitError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as exc:

@@ -235,13 +235,20 @@ def coates_graph(a: np.ndarray, zero_tol: float = 0.0) -> WeightedGraph:
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Laplacian D - A of the loop-free part of ``g``; row sums are zero."""
+    """Laplacian D - A of the loop-free part of ``g``; row sums are zero.
+
+    Raises ValueError when a weighted degree overflows.
+    """
     _, i, j, w = _simple_columns(g)
     a = np.zeros((g.n, g.n))
     a[i, j] = w
     a[j, i] = w
-    d = np.diag(a.sum(axis=1))
-    return d - a
+    with np.errstate(over="ignore", invalid="ignore"):
+        degrees = a.sum(axis=1)
+    overflowed = np.flatnonzero(~np.isfinite(degrees))
+    if overflowed.size:
+        raise ValueError(f"weighted degree of vertex {overflowed[0] + 1} overflows")
+    return np.diag(degrees) - a
 
 
 def negated_adjacency_check(a: np.ndarray, rel: float = REL_TOL) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .graphs import (
 )
 from .minors import _family_leaves, _forest_leaves, principal_minor_direct
 from .numerics import REL_TOL, GuardLimitError
-from .sylvester import _extend_combinations
+from .sylvester import _combinations
 
 CUT_GUARD = 20
 
@@ -108,13 +108,14 @@ def find_negative_cut(g: WeightedGraph) -> Optional[tuple[int, ...]]:
     return v1
 
 
-def _crossing_pools(g: WeightedGraph, v1: frozenset[int]) -> dict[int, list[int]]:
-    """Each side-1 vertex's crossing edges, by ascending index; loops ignored."""
-    pools: dict[int, list[int]] = {v: [] for v in v1}
-    for idx, i, j, _ in g.simple_edges():
-        if (i in v1) != (j in v1):
-            pools[i if i in v1 else j].append(idx)
-    return pools
+def _neighbours(g: WeightedGraph) -> list[list[tuple[int, int, float]]]:
+    """Each vertex's (neighbour, edge index, weight) triples, 0-based, by ascending edge index; loops ignored."""
+    idx, i, j, w = _simple_columns(g)
+    neighbours: list[list[tuple[int, int, float]]] = [[] for _ in range(g.n)]
+    for e, a, b, x in zip(idx.tolist(), i.tolist(), j.tolist(), w.tolist()):
+        neighbours[a].append((b, e, x))
+        neighbours[b].append((a, e, x))
+    return neighbours
 
 
 def _tee_family(g: WeightedGraph, v1: tuple[int, ...], b: tuple[int, ...]) -> list[frozenset[int]]:
@@ -164,7 +165,9 @@ def cut_decomposition(g: WeightedGraph, v1: Iterable[int], c: Iterable[int]) -> 
     if not set(removed) <= set(side):
         raise ValueError("c must be a subset of v1")
     rest = tuple(sorted(set(side) - set(removed)))
-    pools = _crossing_pools(g, frozenset(side))
+    neighbours = _neighbours(g)
+    inside = {v - 1 for v in side}
+    pools = {v: [e for u, e, _ in neighbours[v - 1] if u not in inside] for v in side}
 
     sigma: dict[tuple[int, ...], tuple[EdgeSubset, ...]] = {}
     tee: dict[tuple[int, ...], tuple[EdgeSubset, ...]] = {}
@@ -195,45 +198,66 @@ def cut_decomposition(g: WeightedGraph, v1: Iterable[int], c: Iterable[int]) -> 
     return CutFamily(side, removed, sigma, tee, ordered)
 
 
-def _crossing_sums(g: WeightedGraph, side: tuple[int, ...]) -> list[float]:
-    """s_v for each vertex of ``side``, in its order: the summed weight of v's crossing edges."""
-    pools = _crossing_pools(g, frozenset(side))
-    return [math.fsum(g.edges[e][2] for e in pools[v]) for v in side]
-
-
 def _marker_sets(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Bitmasks of the subsets of range(k) in subset order, and (-1.0)^size of each."""
     masks, signs = [np.zeros(1, dtype=np.int64)], [np.ones(1)]
-    combos = np.empty((1, 0), dtype=np.intp)
-    for r in range(1, k + 1):
-        combos = _extend_combinations(combos, k)
+    for r, combos in _combinations(k, k):
         masks.append((1 << combos).sum(axis=1))
         signs.append(np.full(len(combos), (-1.0) ** r))
     return np.concatenate(masks), np.concatenate(signs)
 
 
-def _side_terms(s: np.ndarray, minors: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[list[float]]:
-    """Cut identity terms of equal-size sides, one row of ``s`` per side.
+def _identity_terms(g: WeightedGraph, vertices: np.ndarray, groups: Iterable[np.ndarray]
+                    ) -> Iterator[tuple[tuple[int, ...], list[float]]]:
+    """``(side, terms)`` of the cut identity for each side of ``groups``, one group at a time.
 
-    A row holds the side's s_v in ascending vertex order. Its marker weights
-    form a table by position bitmask in which a set's weight is that of the
-    set without its highest position times that position's s_v, so every
-    product runs from 1.0 in ascending vertex order, as ``math.prod`` does.
-    ``minors(masks, kept)`` gets the marker bitmasks in subset order and the
-    (side, marker) array of nonzero weights, and returns the minors of the
-    kept pairs in row-major order.
+    ``vertices`` holds the 0-based vertices of all sides, ascending; there
+    are at most 20, so a bitmask of places fits an int64. A group is an
+    array whose rows are equal-size sides, each given by the places of its
+    vertices in ``vertices``, ascending; the sides come out 1-based. A side's
+    s_v is the ``math.fsum`` of v's edge weights to the outside, in edge
+    order. Its marker weights form a table by place bitmask in which a set's
+    weight is that of the set without its highest place times that place's
+    s_v, so every product runs from 1.0 in ascending vertex order, as
+    ``math.prod`` does; the same doubling forms the rest of each marker set,
+    the side minus the set, as a bitmask of places in ``vertices``. Each
+    distinct rest of a nonzero weight takes its minor once per call, in
+    first-use order.
     """
-    masks, signs = _marker_sets(s.shape[1])
-    # a product may overflow, and inf times a zero minor is nan, silently as with floats
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.ones((len(s), 1))
-        for t in range(s.shape[1]):
-            weights = np.hstack([weights, weights * s[:, t:t + 1]])
-        weights = weights[:, masks]
-        kept = weights != 0.0
-        values = ((signs * weights)[kept] * minors(masks, kept)).tolist()
-    ends = np.cumsum(kept.sum(axis=1)).tolist()
-    return [values[start:end] for start, end in zip([0] + ends, ends)]
+    L = laplacian(g)
+    neighbours = _neighbours(g)
+    labels = (np.asarray(vertices) + 1).tolist()
+    minors = {0: 1.0}  # by rest bitmask; the empty minor is 1
+    for rows in groups:
+        masks, signs = _marker_sets(rows.shape[1])
+        sides = [tuple(labels[p] for p in row) for row in rows.tolist()]
+        s = np.empty(rows.shape)
+        for r, side in enumerate(sides):
+            inside = set(side)
+            for t, v in enumerate(side):
+                try:
+                    s[r, t] = math.fsum([w for u, _, w in neighbours[v - 1] if u + 1 not in inside])
+                except OverflowError:
+                    named = ",".join(map(str, side))
+                    raise OverflowError(f"crossing sum of vertex {v} on side V1={{{named}}} overflows") from None
+        bits = 1 << rows
+        # a product may overflow, and inf times a zero minor is nan, silently as with floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights, rests = np.ones((len(rows), 1)), bits.sum(axis=1, keepdims=True)
+            for t in range(rows.shape[1]):
+                weights = np.hstack([weights, weights * s[:, t:t + 1]])
+                rests = np.hstack([rests, rests - bits[:, t:t + 1]])
+            weights = weights[:, masks]
+            kept_rows, kept_cols = np.nonzero(weights)
+            keys, first, inverse = np.unique(rests[kept_rows, masks[kept_cols]], return_index=True,
+                                             return_inverse=True)
+            for key in keys[np.argsort(first)].tolist():
+                if key not in minors:
+                    minors[key] = principal_minor_direct(L, [v for p, v in enumerate(labels) if key >> p & 1])
+            rest_minors = np.array([minors[key] for key in keys.tolist()])[inverse]
+            values = (signs[kept_cols] * weights[kept_rows, kept_cols] * rest_minors).tolist()
+        ends = np.cumsum(np.bincount(kept_rows, minlength=len(rows))).tolist()
+        yield from zip(sides, (values[start:end] for start, end in zip([0] + ends, ends)))
 
 
 def cut_identity_terms(g: WeightedGraph, v1: Iterable[int]) -> list[float]:
@@ -255,13 +279,7 @@ def cut_identity_terms(g: WeightedGraph, v1: Iterable[int]) -> list[float]:
         raise ValueError("v1 must be a proper non-empty vertex subset")
     if len(side) > CUT_GUARD:
         raise GuardLimitError(f"cut identity is guarded at |v1|={CUT_GUARD}, got {len(side)}")
-    L = laplacian(g)
-
-    def minors(masks: np.ndarray, kept: np.ndarray) -> np.ndarray:
-        rests = ([v for t, v in enumerate(side) if not m >> t & 1] for m in masks[kept[0]].tolist())
-        return np.array([principal_minor_direct(L, rest) if rest else 1.0 for rest in rests])
-
-    return _side_terms(np.array([_crossing_sums(g, side)]), minors)[0]
+    return next(_identity_terms(g, np.array(side) - 1, [np.arange(len(side))[None, :]]))[1]
 
 
 def cut_identity_sweep(g: WeightedGraph) -> Iterator[tuple[tuple[int, ...], list[float]]]:
@@ -269,37 +287,15 @@ def cut_identity_sweep(g: WeightedGraph) -> Iterator[tuple[tuple[int, ...], list
 
     Sides come in subset order (sizes ascending, lexicographic within a
     size) and the terms are those of ``cut_identity_terms``, bit for bit.
-    Every proper subset is the side minus some marker set, so the 2^n - 2
-    minors are filled once, into a table indexed by vertex bitmask, before
-    the first side; the sides of one size then take their terms together.
+    The sides of one size take their terms together, a size at a time.
+    Every side is its own rest under the empty marker and every rest is a
+    proper subset, so each of the 2^n - 2 minors is computed exactly once,
+    for the first side that needs it.
     Raises ``GuardLimitError`` on the call itself when n exceeds 12.
     """
     if g.n > _SIDE_SWEEP_GUARD:
         raise GuardLimitError(f"sweeping all proper subsets is guarded at n={_SIDE_SWEEP_GUARD}, got n={g.n}")
-    L = laplacian(g)
-    table = np.ones(1 << g.n)
-    by_size = []
-    combos = np.empty((1, 0), dtype=np.intp)
-    for _ in range(1, g.n):
-        combos = _extend_combinations(combos, g.n)
-        table[(1 << combos).sum(axis=1)] = [principal_minor_direct(L, (row + 1).tolist()) for row in combos]
-        by_size.append(combos)
-    return _swept_sides(g, table, by_size)
-
-
-def _swept_sides(g: WeightedGraph, table: np.ndarray, by_size: list[np.ndarray]
-                 ) -> Iterator[tuple[tuple[int, ...], list[float]]]:
-    """The sweep's sides, given as rows of 0-based vertices, and their terms, with minors from ``table``."""
-    for combos in by_size:
-        sides = [tuple(row) for row in (combos + 1).tolist()]
-        bits = 1 << combos
-
-        def minors(masks: np.ndarray, kept: np.ndarray) -> np.ndarray:
-            outside = 1 - ((masks[:, None] >> np.arange(bits.shape[1])) & 1)
-            return table[(bits[:, None, :] * outside).sum(axis=2)[kept]]
-
-        terms = _side_terms(np.array([_crossing_sums(g, side) for side in sides]), minors)
-        yield from zip(sides, terms)
+    return _identity_terms(g, np.arange(g.n), (combos for _, combos in _combinations(g.n, g.n - 1)))
 
 
 def verify_cut_identity(g: WeightedGraph, v1: Iterable[int]) -> float:

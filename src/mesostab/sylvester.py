@@ -108,6 +108,15 @@ def _extend_combinations(prev: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack((prev[rows], new))
 
 
+def _combinations(n: int, k_max: int):
+    """``(k, combos)`` for k = 1..k_max: the k-subsets of range(n), one per row, in
+    ``itertools.combinations`` order."""
+    combos = np.empty((1, 0), dtype=np.intp)
+    for k in range(1, k_max + 1):
+        combos = _extend_combinations(combos, n)
+        yield k, combos
+
+
 def _require_n_max(n: int, n_max: int, sweep: str) -> None:
     if n > n_max:
         raise GuardLimitError(f"{sweep} refused: n={n} exceeds n_max={n_max} (override n_max to force)")
@@ -116,9 +125,7 @@ def _require_n_max(n: int, n_max: int, sweep: str) -> None:
 def _principal_blocks(L: np.ndarray, k_max: int):
     """Chunks ``(k, subsets, blocks)`` of the principal submatrices of sizes 1..k_max in sweep
     order (sizes ascending, then 0-based subsets lexicographic), at most ``SWEEP_CHUNK`` each."""
-    combos = np.empty((1, 0), dtype=np.intp)
-    for k in range(1, k_max + 1):
-        combos = _extend_combinations(combos, L.shape[0])
+    for k, combos in _combinations(L.shape[0], k_max):
         for start in range(0, len(combos), SWEEP_CHUNK):
             cc = combos[start:start + SWEEP_CHUNK]
             yield k, cc, L[cc[:, :, None], cc[:, None, :]]

@@ -3,11 +3,13 @@
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from mesostab import WeightedGraph, graphs, laplacian, principal_minor_direct
+from mesostab import cli
 from mesostab.cli import main
 from mesostab.io import format_edge_list, format_kuramoto, format_matrix_csv
 from mesostab.kuramoto import KuramotoSystem
@@ -225,6 +227,47 @@ class TestVerifyIdentity:
         assert main(["verify-identity", str(path)]) == 2
         assert "--v1" in capsys.readouterr().err
         assert main(["verify-identity", str(path), "--v1", "1,2,3"]) == 0
+
+
+class TestOverflow:
+    """Weights whose sums or products overflow exit 2, naming the vertex or side."""
+
+    def run(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["--format", "json", argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    @pytest.mark.parametrize("argv", [["verify-identity", "--v1", "1"], ["verify-identity"], ["analyze-graph"]])
+    def test_overflowing_degree(self, capsys, tmp_path, argv):
+        code, err = self.run(capsys, tmp_path, "3 2\n1 2 1e308\n1 3 1e308\n", argv)
+        assert (code, err) == (2, "error: weighted degree of vertex 1 overflows\n")
+
+    def test_overflowing_minor(self, capsys, tmp_path):
+        code, err = self.run(capsys, tmp_path, "3 2\n1 2 1e200\n2 3 1e200\n", ["verify-identity"])
+        assert (code, err) == (2, "error: cut identity on side V1={1,2} overflows: a term is not finite\n")
+
+    # vertex 1's degree 1e308 - 1e308 + 1e308 is finite; leaving side {1} its
+    # crossing sum is too, but the term scale 2e308 is not; leaving side {1,3}
+    # its crossing sum is 2e308
+    CANCELLING = "4 3\n1 2 1e308\n1 3 -1e308\n1 4 1e308\n"
+
+    def test_infinite_term_scale_does_not_pass_vacuously(self, capsys, tmp_path):
+        code, err = self.run(capsys, tmp_path, self.CANCELLING, ["verify-identity", "--v1", "1"])
+        assert (code, err) == (2, "error: cut identity on side V1={1} overflows: the term scale is not finite\n")
+
+    def test_overflowing_crossing_sum(self, capsys, tmp_path):
+        code, err = self.run(capsys, tmp_path, self.CANCELLING, ["verify-identity", "--v1", "1,3"])
+        assert (code, err) == (2, "error: crossing sum of vertex 1 on side V1={1,3} overflows\n")
+
+    def test_overflowing_residual(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "cut_identity_terms", lambda g, side: [1e308, 1e308])
+        code, err = self.run(capsys, tmp_path, "3 1\n1 2 1.0\n", ["verify-identity", "--v1", "1"])
+        assert (code, err) == (2, "error: cut identity on side V1={1} overflows: the residual is not finite\n")
 
 
 class TestTextOutput:

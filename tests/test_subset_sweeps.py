@@ -269,6 +269,25 @@ def test_sweep_matches_per_side_terms(g):
         assert all(same_float(x, y) for x, y in zip(terms, want))
 
 
+def test_eleven_vertex_sweep_matches_the_oracle_and_takes_each_minor_once(monkeypatch):
+    # float weights on ten vertices and an isolated eleventh: a side holding
+    # it, or holding all of some vertex's neighbours, has zero-s_v vertices
+    rng = np.random.default_rng(2011)
+    base = random_signed_graph(rng, 10, 22)
+    g = WeightedGraph(11, tuple((i, j, w * float(rng.uniform(0.5, 1.5))) for i, j, w in base.edges))
+    calls = _counted_minors(monkeypatch)
+    swept = dict(cut_identity_sweep(g))
+    assert len(calls) == len(set(calls)) == 2**11 - 2
+    sides = list(swept)
+    sample = [sides[k] for k in rng.choice(len(sides), 20, replace=False).tolist()]
+    assert any(11 in side for side in sample)
+    assert any(len(swept[side]) < 2 ** len(side) for side in sample if 11 not in side)
+    for side in sample:
+        want = rescanned_cut_identity_terms(g, side)
+        assert len(swept[side]) == len(want)
+        assert all(same_float(x, y) for x, y in zip(swept[side], want))
+
+
 def test_overflowing_marker_weights_match_the_oracle():
     # products overflow to inf, and inf times a zero minor is nan: kept, silently, as math.prod does
     g = WeightedGraph(5, ((1, 2, 1e200), (1, 3, -1e200), (2, 4, 1e155), (3, 4, 2.0), (4, 5, 1e-200), (2, 5, -3e170)))
