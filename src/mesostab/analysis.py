@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import WeightedGraph, coates_graph, cut_edges, laplacian
+from .graphs import WeightedGraph, _edge_tuples, coates_graph, cut_edges, laplacian
 from .numerics import REL_TOL, require_symmetric, require_zero_row_sums
 from .structure import (
     LineBoundReport,
@@ -86,9 +86,9 @@ def analyze_matrix(a: np.ndarray, *, rel: float = REL_TOL, n_max: int = DEFAULT_
 
     g = coates_graph(a, zero_tol=zero_tol)
     forest = _positive_spanning_forest(g, required_components)
-    spanning = tuple(g.edges[idx] for idx in forest.sorted_members()) if forest is not None else None
+    spanning = _edge_tuples(g, forest.sorted_members()) if forest is not None else None
     cut = find_negative_cut(g) if forest is None else None
-    cut_edges_list = cut_edges(g, cut).edge_tuples() if cut is not None else ()
+    cut_edges_list = _edge_tuples(g, cut_edges(g, cut).sorted_members()) if cut is not None else ()
     lines = tuple(line_obstruction_scan(g, rel))
 
     # A held certificate proves rank n-1; a refused one has already classified -a

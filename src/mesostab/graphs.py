@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -24,94 +25,75 @@ class _EdgeArrays(NamedTuple):
     w: np.ndarray
 
 
-def _label(v, top: int) -> int:
-    """-1 for a vertex label that is not an integer (bool is not); an integer
-    clamped to 0..top, which keeps its range verdict and fits int64."""
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return min(max(int(v), 0), top)
-    return -1
-
-
 def _to_float(v) -> float:
     try:
         return float(v)
     except (TypeError, ValueError):
-        return math.nan  # reported by the validator, which repeats float(v) to raise the real error
+        return math.nan  # reported as an invalid weight, where float(v) runs again to raise the real error
 
 
-def _validated(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, bad_label=None, raw=None
-               ) -> tuple[tuple[tuple[int, int, float], ...], _EdgeArrays]:
-    """Canonical edge tuple and edge arrays for 1-based endpoints ``i``, ``j``.
-
-    The first bad edge in list order is reported, with the first check it
-    fails: vertex labels (``bad_label``), then range, weight, and whether it
-    repeats an earlier pair. ``raw`` holds the edges as the caller gave them,
-    for the messages.
-    """
+def _checked_columns(n: int, edges: Iterable[tuple[int, int, float]]) -> tuple[list[int], list[int], list[float]]:
+    """0-based endpoints i <= j and weights of caller-given edges. After every edge is
+    unpacked and every weight converted, the first bad edge in list order is reported,
+    with the first check it fails: labels, range, weight, repeat of an earlier pair."""
+    raw = [(i, j, w) for i, j, w in edges]
+    weights = [_to_float(w) for _, _, w in raw]
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    bad_range = (i < 1) | (i > n) | (j < 1) | (j > n)
-    bad = bad_range | ~np.isfinite(w) | (w == 0.0)
-    if bad_label is not None:
-        bad |= bad_label
-    first = int(np.argmax(bad)) if bad.any() else len(w)
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    # Edges before ``first`` are valid, so their keys are exact; a repeat among
-    # them comes before the first bad edge.
-    key = lo[:first] * (n + 1) + hi[:first]
-    order = np.argsort(key, kind="stable")
-    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
-    if repeats.size:
-        k = int(repeats.min())
-        raise ValueError(f"duplicate edge {{{int(lo[k])},{int(hi[k])}}}")
-    if first < len(w):
-        ri, rj, rw = raw[first] if raw is not None else (int(i[first]), int(j[first]), w[first])
-        if bad_label is not None and bad_label[first]:
+    lo, hi, seen = [], [], set()
+    for (ri, rj, rw), w in zip(raw, weights):
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (ri, rj)):
             raise ValueError(f"edge ({ri},{rj}) has a non-integer vertex label")
-        if bad_range[first]:
+        i, j = sorted((int(ri), int(rj)))
+        if i < 1 or j > n:
             raise ValueError(f"edge ({ri},{rj}) uses a vertex outside 1..{n}")
-        raise ValueError(f"edge ({ri},{rj}) has invalid weight {float(rw)}")
-    edges = tuple(zip(lo.tolist(), hi.tolist(), w.tolist()))
-    arrays = _EdgeArrays(lo - 1, hi - 1, w.copy())
-    for a in arrays:
-        a.flags.writeable = False
-    return edges, arrays
+        if not math.isfinite(w) or w == 0.0:
+            raise ValueError(f"edge ({ri},{rj}) has invalid weight {float(rw)}")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate edge {{{i},{j}}}")
+        seen.add((i, j))
+        lo.append(i - 1)
+        hi.append(j - 1)
+    return lo, hi, weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightedGraph:
     """Undirected graph with vertices 1..n and nonzero real edge weights.
 
-    Edges are stored as (i, j, w) with i <= j; the order of the edge list is
+    Edges are (i, j, w) with i <= j; the order of the edge list is
     preserved and edge indices (0-based positions in ``edges``) identify
     edges throughout the package. Vertex labels must be integers (bool is
-    not). The same edges are also held as read-only arrays (``_arrays``),
-    which take no part in equality or repr.
+    not). The edges are stored once, as read-only arrays (``_arrays``);
+    ``edges`` is built from them on first read and cached.
     """
 
     n: int
+    # A field, so eq, hash and repr are those of (n, edges); its class attribute is the cached builder.
     edges: tuple[tuple[int, int, float], ...]
 
-    def __post_init__(self):
-        raw = [(i, j, w) for i, j, w in self.edges]
-        top = self.n + 1
-        ends = [v if type(v) is int and 0 <= v <= top else _label(v, top) for e in raw for v in e[:2]]
-        ij = np.array(ends, dtype=np.int64).reshape(-1, 2)
-        w = np.array([w if type(w) is float else _to_float(w) for _, _, w in raw], dtype=float)
-        edges, arrays = _validated(self.n, ij[:, 0], ij[:, 1], w, (ij < 0).any(axis=1), raw)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_arrays", arrays)
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
+        self._store(n, *_checked_columns(n, edges))
 
     @classmethod
     def _from_columns(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> WeightedGraph:
-        """Graph on 0-based endpoint arrays ``i`` <= ``j``, validated like the constructor."""
+        """Graph on 0-based endpoint arrays ``i`` <= ``j``, unchecked: distinct in-range pairs with finite
+        nonzero weights, as ``np.nonzero`` on the upper triangle of a finite matrix yields them."""
         g = object.__new__(cls)
-        edges, arrays = _validated(n, np.asarray(i, dtype=np.int64) + 1, np.asarray(j, dtype=np.int64) + 1,
-                                   np.asarray(w, dtype=float))
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
-        object.__setattr__(g, "_arrays", arrays)
+        g._store(n, i, j, w)
         return g
+
+    def _store(self, n: int, i, j, w) -> None:
+        """The one place a graph takes its vertex count and edge arrays."""
+        arrays = _EdgeArrays(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64), np.asarray(w, dtype=float))
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_arrays", arrays)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return _edge_tuples(self, slice(None))
 
     @property
     def vertices(self) -> range:
@@ -139,6 +121,14 @@ class WeightedGraph:
     def degree_map(self) -> dict[int, int]:
         """Number of incident non-loop edges per vertex."""
         return dict(zip(self.vertices, _degrees(self).tolist()))
+
+
+def _edge_tuples(g: WeightedGraph, indices) -> tuple[tuple[int, int, float], ...]:
+    """``g.edges[k]`` for each edge index k of ``indices`` (a sequence or a slice),
+    read from the arrays, so a few edges of a dense graph cost no full tuple."""
+    i, j, w = g._arrays
+    k = indices if isinstance(indices, slice) else np.asarray(indices, dtype=np.int64)
+    return tuple(zip((i[k] + 1).tolist(), (j[k] + 1).tolist(), w[k].tolist()))
 
 
 def _simple_columns(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -227,8 +217,11 @@ def coates_graph(a: np.ndarray, zero_tol: float = 0.0) -> WeightedGraph:
     ``zero_tol`` is the absolute cutoff below which an entry counts as zero;
     the default compares exactly, which is the right choice for matrices
     entered verbatim. Matrices produced by floating-point arithmetic should
-    pass a small cutoff such as 1e-12.
+    pass a small cutoff such as 1e-12. A negative or NaN cutoff is a
+    ValueError.
     """
+    if not zero_tol >= 0.0:
+        raise ValueError(f"zero_tol must be non-negative, got {zero_tol}")
     a = require_symmetric(a)
     i, j = np.nonzero(np.triu(np.abs(a) > zero_tol))
     return WeightedGraph._from_columns(a.shape[0], i, j, a[i, j])

@@ -114,14 +114,14 @@ def _residual_jacobian(sys: KuramotoSystem, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def find_equilibrium(sys: KuramotoSystem, x0, *, max_iter: int = NEWTON_MAX_ITER,
-                     max_halvings: int = NEWTON_MAX_HALVINGS) -> Optional[np.ndarray]:
+def find_equilibrium(sys: KuramotoSystem, x0) -> Optional[np.ndarray]:
     """Damped Newton search for a phase-locked state near ``x0``.
 
     The last phase is pinned to zero to remove the rotational degeneracy and
     Newton runs on the remaining coordinates. Steps are halved until the
-    residual norm decreases. Returns the phases in [0, 2*pi) with the last
-    entry zero, or None when the iteration does not converge.
+    residual norm decreases; the accepted trial's residual carries over, so
+    each phase vector is evaluated once. Returns the phases in [0, 2*pi) with
+    the last entry zero, or None when the iteration does not converge.
     """
     tol = equilibrium_tolerance(sys)
     x = np.asarray(x0, dtype=float).copy()
@@ -130,9 +130,9 @@ def find_equilibrium(sys: KuramotoSystem, x0, *, max_iter: int = NEWTON_MAX_ITER
     x = x - x[-1]
     if sys.n == 1:
         return wrap_phases(x)
-    for _ in range(max_iter):
-        r = rotating_frame_residual(sys, x)
-        norm = float(np.linalg.norm(r))
+    r = rotating_frame_residual(sys, x)
+    norm = float(np.linalg.norm(r))
+    for _ in range(NEWTON_MAX_ITER):
         if norm < tol:
             return wrap_phases(x)
         jac = _residual_jacobian(sys, x)[:-1, :-1]
@@ -145,19 +145,18 @@ def find_equilibrium(sys: KuramotoSystem, x0, *, max_iter: int = NEWTON_MAX_ITER
             logger.warning("singular gauge-fixed Jacobian at an iterate; using least-squares step")
             step = np.linalg.lstsq(jac, rhs, rcond=None)[0]
         scale = 1.0
-        for _ in range(max_halvings):
+        for _ in range(NEWTON_MAX_HALVINGS):
             trial = x.copy()
             trial[:-1] += scale * step
-            if float(np.linalg.norm(rotating_frame_residual(sys, trial))) < norm:
-                x = trial
+            trial_r = rotating_frame_residual(sys, trial)
+            trial_norm = float(np.linalg.norm(trial_r))
+            if trial_norm < norm:
+                x, r, norm = trial, trial_r, trial_norm
                 break
             scale *= 0.5
         else:
             return None  # no damped step made progress
-    r = rotating_frame_residual(sys, x)
-    if float(np.linalg.norm(r)) < tol:
-        return wrap_phases(x)
-    return None
+    return wrap_phases(x) if norm < tol else None
 
 
 def jacobian(sys: KuramotoSystem, xstar) -> np.ndarray:

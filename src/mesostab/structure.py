@@ -20,6 +20,7 @@ import numpy as np
 from .graphs import (
     EdgeSubset,
     WeightedGraph,
+    _edge_tuples,
     _index_forest,
     _simple_columns,
     _vertex_subset,
@@ -102,7 +103,7 @@ def find_negative_cut(g: WeightedGraph) -> Optional[tuple[int, ...]]:
     # smallest label is the lexicographically smallest vertex tuple.
     c = candidates[sizes == sizes.min()][0]
     v1 = tuple((np.flatnonzero(labels == c) + 1).tolist())
-    crossing = cut_edges(g, v1).edge_tuples()
+    crossing = _edge_tuples(g, cut_edges(g, v1).sorted_members())
     if not crossing or any(w >= 0 for _, _, w in crossing):
         raise AssertionError(f"negative-cut search produced an invalid witness {v1}")
     return v1

@@ -132,8 +132,36 @@ def _principal_blocks(L: np.ndarray, k_max: int):
 
 
 def _minor_tolerances(blocks: np.ndarray, rel: float) -> np.ndarray:
-    """``rel`` times the Hadamard bound (product of row 2-norms) of each block."""
-    return rel * np.prod(np.sqrt((blocks * blocks).sum(axis=2)), axis=1)
+    """``rel`` times the Hadamard bound (product of row 2-norms) of each block.
+
+    Where squaring overflows, the block's row norms are taken again as
+    max|row| * ||row / max|row|||; finite tolerances keep their floats.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        tols = rel * np.prod(np.sqrt((blocks * blocks).sum(axis=2)), axis=1)
+        redo = ~np.isfinite(tols)
+        if redo.any():
+            b = blocks[redo]
+            top = np.abs(b).max(axis=2, keepdims=True)
+            b = b / np.where(top > 0.0, top, 1.0)
+            tols[redo] = rel * np.prod(top[:, :, 0] * np.sqrt((b * b).sum(axis=2)), axis=1)
+    return tols
+
+
+def _minors(cc: np.ndarray, blocks: np.ndarray, rel: float):
+    """Determinants and tolerances of a chunk of principal blocks (0-based subsets
+    ``cc``), cut before the first subset where either is not finite, and a
+    ValueError naming that subset (None when there is none) for the caller to
+    raise unless its verdict is reached before that subset."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = np.linalg.det(blocks)
+    tols = _minor_tolerances(blocks, rel)
+    finite = np.isfinite(dets) & np.isfinite(tols)
+    if finite.all():
+        return dets, tols, None
+    at = int(np.argmin(finite))
+    subset = ",".join(str(int(v) + 1) for v in cc[at])
+    return dets[:at], tols[:at], ValueError(f"principal minor on S={{{subset}}} overflows")
 
 
 def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL) -> DefinitenessVerdict:
@@ -146,7 +174,8 @@ def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL)
     the subsets in that order, in ``_principal_blocks`` chunks, and stops
     once both sides are broken: the verdict is then indefinite with the
     positive-side witness. It is refused above ``n_max`` since it takes at
-    most 2^n - 1 determinants.
+    most 2^n - 1 determinants. A subset whose determinant or tolerance
+    overflows is a ValueError naming it, unless the verdict comes first.
     """
     L = require_symmetric(L)
     n = L.shape[0]
@@ -157,8 +186,7 @@ def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL)
     all_neg_strict = True
     for k, cc, subs in _principal_blocks(L, n):
         sign = -1.0 if k % 2 else 1.0
-        dets = np.linalg.det(subs)
-        tols = _minor_tolerances(subs, rel)
+        dets, tols, overflow = _minors(cc, subs, rel)
         pos_bad = dets < -tols
         neg_bad = sign * dets < -tols
         if first_pos_violation is None and pos_bad.any():
@@ -169,6 +197,8 @@ def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL)
             first_neg_violation = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
         if first_pos_violation is not None and first_neg_violation is not None:
             return DefinitenessVerdict(INDEFINITE, eigen_rank(L), first_pos_violation)
+        if overflow is not None:
+            raise overflow
         if not (dets > tols).all():
             all_pos_strict = False
         if not (sign * dets > tols).all():
@@ -298,8 +328,12 @@ def check_equivalences(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = R
 
     cond_ii = True
     cond_iii = True
-    for _, _, blocks in _principal_blocks(L, n - 1):
-        cond_ii = cond_ii and bool((np.linalg.det(blocks) > _minor_tolerances(blocks, rel)).all())
+    for _, cc, blocks in _principal_blocks(L, n - 1):
+        if cond_ii:
+            dets, tols, overflow = _minors(cc, blocks, rel)
+            cond_ii = bool((dets > tols).all())
+            if cond_ii and overflow is not None:
+                raise overflow
         cond_iii = cond_iii and _is_pd_cholesky(blocks, rel)
         if not cond_ii and not cond_iii:
             break

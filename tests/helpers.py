@@ -14,7 +14,9 @@ time with an elimination determinant and a one-block Cholesky test, and the
 identity that rescans the edges and recomputes every minor for each marker
 set. The Kuramoto phase condition and coupling components are
 checked against the graphs they used to be read from: the coupling graph
-signed by phase, and the coupling graph itself.
+signed by phase, and the coupling graph itself. The constructor's per-edge
+check is held to the array validator it replaced, which found the first
+bad edge from masks and a stable sort of pair keys.
 """
 
 from __future__ import annotations
@@ -154,6 +156,55 @@ def characteristic_polynomial_exact(a):
         trace = sum(prod[i][i] for i in range(n))
         coeffs.append(-trace / k)
     return coeffs
+
+
+def _label(v, top: int) -> int:
+    """-1 for a vertex label that is not an integer (bool is not); an integer
+    clamped to 0..top, which keeps its range verdict and fits int64."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return min(max(int(v), 0), top)
+    return -1
+
+
+def _to_float(v) -> float:
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        return math.nan  # reported by the validator, which repeats float(v) to raise the real error
+
+
+def array_validated_edges(n, edges):
+    """The canonical edge tuple and the 0-based (i, j, w) arrays of caller-given
+    edges, or the error for the first bad edge in list order, found by the array
+    validator the constructor used to run."""
+    raw = [(i, j, w) for i, j, w in edges]
+    top = n + 1
+    ends = [v if type(v) is int and 0 <= v <= top else _label(v, top) for e in raw for v in e[:2]]
+    ij = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    w = np.array([w if type(w) is float else _to_float(w) for _, _, w in raw], dtype=float)
+    i, j, bad_label = ij[:, 0], ij[:, 1], (ij < 0).any(axis=1)
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    bad_range = (i < 1) | (i > n) | (j < 1) | (j > n)
+    bad = bad_range | ~np.isfinite(w) | (w == 0.0) | bad_label
+    first = int(np.argmax(bad)) if bad.any() else len(w)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # Edges before ``first`` are valid, so their keys are exact; a repeat among
+    # them comes before the first bad edge.
+    key = lo[:first] * (n + 1) + hi[:first]
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if repeats.size:
+        k = int(repeats.min())
+        raise ValueError(f"duplicate edge {{{int(lo[k])},{int(hi[k])}}}")
+    if first < len(w):
+        ri, rj, rw = raw[first]
+        if bad_label[first]:
+            raise ValueError(f"edge ({ri},{rj}) has a non-integer vertex label")
+        if bad_range[first]:
+            raise ValueError(f"edge ({ri},{rj}) uses a vertex outside 1..{n}")
+        raise ValueError(f"edge ({ri},{rj}) has invalid weight {float(rw)}")
+    return tuple(zip(lo.tolist(), hi.tolist(), w.tolist())), (lo - 1, hi - 1, w)
 
 
 def loop_coates_graph(a, zero_tol=0.0):

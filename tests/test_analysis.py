@@ -15,7 +15,9 @@ from mesostab import (
     cut_edges,
     graph_components,
     laplacian,
+    positive_spanning_tree,
 )
+from mesostab import analysis
 from mesostab.cli import _report_dict
 
 C_MATRIX = np.array([[0, 0, 1, -1], [0, -1, 1, 0], [1, 1, -2, 0], [-1, 0, 0, 1]], dtype=float)
@@ -33,6 +35,22 @@ def test_eigenvalue_calls_per_analysis(monkeypatch, a, n_max, certified, calls):
     report = analyze_matrix(a, n_max=n_max)
     assert report.certified == certified
     assert len(seen) == calls
+
+
+def test_dense_certified_analysis_never_builds_the_edge_tuple(monkeypatch):
+    # A complete graph's report reads its n - 1 forest edges from the arrays,
+    # not from the tuple of all n(n-1)/2 edges.
+    n = 60
+    upper = np.triu(np.random.default_rng(7).uniform(0.5, 2.0, (n, n)), 1)
+    a = upper + upper.T
+    np.fill_diagonal(a, -a.sum(axis=1))
+    built = []
+    monkeypatch.setattr(analysis, "coates_graph", lambda *args, **kwargs: built.append(coates_graph(*args, **kwargs))
+                        or built[-1])
+    report = analyze_matrix(a)
+    (g,) = built
+    assert report.certified and "edges" not in vars(g)
+    assert report.spanning_forest == tuple(g.edges[k] for k in positive_spanning_tree(g).sorted_members())
 
 
 def test_certified_report_has_rank_n_minus_one():

@@ -178,10 +178,10 @@ class TestKuramotoCommand:
         assert captured.out == ""
 
     def test_op_builds_one_graph(self, capsys, monkeypatch, two_node_file, tmp_path):
-        # every WeightedGraph, from edge tuples or from columns, is validated once
+        # every WeightedGraph, from edge tuples or from columns, is stored once
         built = []
-        validated = graphs._validated
-        monkeypatch.setattr(graphs, "_validated", lambda *args: built.append(args[0]) or validated(*args))
+        store = graphs.WeightedGraph._store
+        monkeypatch.setattr(graphs.WeightedGraph, "_store", lambda g, n, *cols: built.append(n) or store(g, n, *cols))
         seeds = tmp_path / "seeds.txt"
         seeds.write_text("0.0 0.1\n")
         code, payload = run_json(capsys, ["kuramoto", str(two_node_file), "--seed-phases", str(seeds)])
@@ -263,6 +263,22 @@ class TestOverflow:
     def test_overflowing_crossing_sum(self, capsys, tmp_path):
         code, err = self.run(capsys, tmp_path, self.CANCELLING, ["verify-identity", "--v1", "1,3"])
         assert (code, err) == (2, "error: crossing sum of vertex 1 on side V1={1,3} overflows\n")
+
+    def test_overflowing_row_norms_keep_the_sweep_witness(self, capsys, tmp_path):
+        # squaring the weights overflows, so every minor's tolerance used to be inf
+        path = tmp_path / "g.txt"
+        path.write_text(self.CANCELLING)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, payload = run_json(capsys, ["analyze-graph", str(path)])
+        report = payload["report"]
+        assert code == 1
+        assert report["definiteness"]["kind"] == report["full_sweep"]["kind"] == "indefinite"
+        assert report["full_sweep"]["witness"]["subset"] == [3]
+
+    def test_overflowing_sweep_minor(self, capsys, tmp_path):
+        code, err = self.run(capsys, tmp_path, "4 2\n1 2 1e200\n3 4 1e200\n", ["analyze-graph"])
+        assert (code, err) == (2, "error: principal minor on S={1,2} overflows\n")
 
     def test_overflowing_residual(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "cut_identity_terms", lambda g, side: [1e308, 1e308])

@@ -3,7 +3,9 @@
 Each property draws small graphs (n <= 12) and requires the numpy paths to
 return exactly what the loop oracles in ``helpers`` return. The Kuramoto
 phase condition and coupling components, which no longer build graphs, are
-held to the graph route they replaced.
+held to the graph route they replaced. The constructor's per-edge check
+is held to the array validator it replaced, on edge lists with every kind
+of defect.
 """
 
 import math
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    array_validated_edges,
     coupling_graph_components,
     greedy_components,
     greedy_negative_cut,
@@ -110,6 +113,54 @@ def test_components_forest_and_cut_match_union_find(g):
     whole = [frozenset(g.vertices)]
     forest = _positive_spanning_forest(g, whole)
     assert (None if forest is None else forest.sorted_members()) == greedy_positive_forest(g, whole)
+
+
+LABEL_DEFECTS = [-3, 10**30, True, False, 2.0, "1", np.float64(1.0), None]
+WEIGHT_DEFECTS = [math.nan, math.inf, -math.inf, 0, 0.0, -0.0, "abc", "1.5", 1j, 10**400, True, 3,
+                  np.float64(math.nan), None]
+
+
+@st.composite
+def defective_edge_lists(draw):
+    """Edge lists on n <= 5 vertices (so repeats in either orientation and loops
+    are common) with up to two defective edges: a bad label, a bad weight, or a
+    short or long tuple."""
+    n = draw(st.integers(min_value=-1, max_value=5))
+    good = st.integers(min_value=1, max_value=max(n, 1))
+    label = st.one_of(good, good.map(np.int64), good.map(np.int32))
+    edges = [(draw(label), draw(label), draw(st.floats(min_value=-4.0, max_value=4.0)))
+             for _ in range(draw(st.integers(min_value=0, max_value=8)))]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i, j, w = draw(label), draw(label), 1.0
+        kind = draw(st.sampled_from(["label"] * 3 + ["weight"] * 3 + ["short", "long"]))
+        if kind == "label":
+            bad = draw(st.sampled_from(LABEL_DEFECTS + [0, n + 1]))
+            i, j = (bad, j) if draw(st.booleans()) else (i, bad)
+        elif kind == "weight":
+            w = draw(st.sampled_from(WEIGHT_DEFECTS))
+        edge = (i, j) if kind == "short" else (i, j, w, 0) if kind == "long" else (i, j, w)
+        edges.insert(draw(st.integers(min_value=0, max_value=len(edges))), edge)
+    return n, edges
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except Exception as exc:  # the type and message are what is compared
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=500, deadline=None)
+@given(defective_edge_lists())
+def test_constructor_matches_the_array_validator(case):
+    n, edges = case
+    got, got_error = _outcome(lambda: WeightedGraph(n, edges))
+    expected, expected_error = _outcome(lambda: array_validated_edges(n, edges))
+    assert got_error == expected_error
+    if expected is not None:
+        assert repr(got.edges) == repr(expected[0])
+        for a, b in zip(got._arrays, expected[1]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @st.composite

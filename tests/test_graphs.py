@@ -121,6 +121,11 @@ class TestCoatesGraph:
         assert coates_graph(a).edges != ()
         assert coates_graph(a, zero_tol=1e-12).edges == ()
 
+    @pytest.mark.parametrize("zero_tol", [-1e-12, float("nan")])
+    def test_rejects_negative_or_nan_zero_tol(self, zero_tol):
+        with pytest.raises(ValueError, match=f"zero_tol must be non-negative, got {zero_tol}"):
+            coates_graph(INTRO_ADJACENCY, zero_tol=zero_tol)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
             coates_graph(np.array([[0.0, 1.0], [2.0, 0.0]]))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import random_positive_graph
+from mesostab import kuramoto
 from mesostab import (
     KuramotoSystem,
     MinorWitness,
@@ -136,6 +137,16 @@ class TestFindEquilibrium:
             again = find_equilibrium(sys_, x)
             assert again is not None
             assert np.allclose(wrap_to_pi(again - x), 0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("omega0, locks", [(0.5, True), (1.5, False)])
+    def test_each_phase_vector_takes_one_residual(self, monkeypatch, omega0, locks):
+        seen = []
+        residual = kuramoto.rotating_frame_residual
+        monkeypatch.setattr(kuramoto, "rotating_frame_residual",
+                            lambda sys_, x: seen.append(np.asarray(x).tobytes()) or residual(sys_, x))
+        x = find_equilibrium(two_node(omega0=omega0), np.array([0.0, 0.1]))
+        assert (x is not None) == locks
+        assert len(seen) > 2 and len(set(seen)) == len(seen)
 
     def test_gauge_is_pinned(self):
         x = find_equilibrium(two_node(), np.array([1.0, 4.0]))

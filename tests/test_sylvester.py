@@ -2,6 +2,7 @@
 the five-way agreement."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,37 @@ class TestFullSweep:
     def test_guard_refusal_names_limit(self):
         with pytest.raises(GuardLimitError, match="n_max=4"):
             is_psd_full(np.eye(5), n_max=4)
+
+    def test_overflowing_row_norms_keep_finite_tolerances(self):
+        # 1e308 squared overflows; rescaled rows give the {3} minor a finite tolerance
+        big = laplacian(WeightedGraph(4, ((1, 2, 1e308), (1, 3, -1e308), (1, 4, 1e308))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            verdict = is_psd_full(big)
+            small = triangle_laplacian()
+            tols = sylvester._minor_tolerances(np.stack([small, np.diag([1e200, 1e-100, 1.0]), big[1:, 1:]]), REL_TOL)
+        assert verdict.kind == "indefinite" and verdict.witness.subset == (3,)
+        assert tols[0] == REL_TOL * np.prod(np.sqrt((small * small).sum(axis=1)))
+        assert tols[1] == REL_TOL * np.prod([1e200, 1e-100, 1.0])
+        assert tols[2] == np.inf
+
+    @pytest.mark.parametrize("sweep", [is_psd_full, check_equivalences])
+    def test_overflowing_minor_names_its_subset(self, sweep):
+        two_blocks = laplacian(WeightedGraph(4, ((1, 2, 1e200), (3, 4, 1e200))))
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=r"principal minor on S=\{1,2\} overflows"):
+            warnings.simplefilter("error", RuntimeWarning)
+            sweep(two_blocks)
+
+    def test_verdict_before_an_overflowing_minor_stands(self):
+        # the {1,2} minor decides both sweeps before the {3,4} tolerance overflows
+        a = np.diag([1.0, 1.0, 1e200, 1e200])
+        a[0, 1] = a[1, 0] = 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            verdict = is_psd_full(a)
+            report = check_equivalences(laplacian(WeightedGraph(4, ((1, 2, 1.0), (3, 4, 1e200)))))
+        assert verdict.kind == "indefinite" and verdict.witness.subset == (1, 2)
+        assert not report.proper_minors_positive
 
     def test_witness_is_first_in_scan_order(self):
         verdict = is_psd_full(C_MATRIX)
