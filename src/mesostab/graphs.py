@@ -91,6 +91,10 @@ class WeightedGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_arrays", arrays)
 
+    def __reduce__(self):
+        # Rebuilt through _store, so an unpickled or deep-copied graph keeps read-only arrays.
+        return WeightedGraph._from_columns, (self.n, *self._arrays)
+
     @cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         return _edge_tuples(self, slice(None))
@@ -153,7 +157,7 @@ class EdgeSubset:
     def __post_init__(self):
         members = frozenset(int(m) for m in self.members)
         for m in members:
-            if not (0 <= m < len(self.host.edges)):
+            if not (0 <= m < len(self.host._arrays.i)):
                 raise ValueError(f"edge index {m} outside the host edge list")
         object.__setattr__(self, "members", members)
 

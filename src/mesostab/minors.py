@@ -118,8 +118,9 @@ def _family_leaves(g: WeightedGraph, subset: Sequence[int]) -> list[tuple[tuple[
 
 
 def _require_edge_guard(g: WeightedGraph) -> None:
-    if len(g.edges) > 32:
-        raise GuardLimitError(f"forest enumeration is guarded at 32 edges, got {len(g.edges)}")
+    m = len(g._arrays.i)
+    if m > 32:
+        raise GuardLimitError(f"forest enumeration is guarded at 32 edges, got {m}")
 
 
 def _check_members(g: WeightedGraph, subset: tuple[int, ...], members: Sequence[tuple[int, ...]]) -> None:

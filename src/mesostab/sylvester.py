@@ -2,15 +2,15 @@
 
 Two routes are provided: the exhaustive principal-minor sweep (exponential,
 guarded) and the cheap leading-minor certificate that is valid for symmetric
-matrices with zero row sums and maximal rank. The leading-minor shortcut is
-a certificate only; when it refuses, the matrix is classified by its
-eigenvalues so that the verdict kind stays meaningful.
+matrices with zero row sums and maximal rank. The certificate tests the
+leading minors pivot by pivot on one Cholesky factorization; when it
+refuses, the matrix is classified by its eigenvalues so that the verdict
+kind stays meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import astuple, dataclass, fields
 from typing import Optional, Union
 
@@ -212,42 +212,40 @@ def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL)
 
 
 def _leading_minor_refusal(L: np.ndarray, rel: float) -> tuple[int, bool]:
-    """First k whose leading minor fails ``minor > rel * Hadamard bound``, or 0.
+    """First k whose pivot fails ``D_k > rel * |a_kk|``, or 0, and whether D_k < -rel * |a_kk|.
 
-    Also says whether that minor lies below ``-rel * Hadamard bound``. One
-    unpivoted elimination of the leading (n-1)-block yields every leading
-    minor as a product of pivots; pivoting is unneeded since each pivot used
-    sits on a leading block that passed, hence is positive definite. The
-    comparison runs in log form on the block divided by its largest entry:
-    both sides of the k-th test scale as s^k, so the decision is that of the
-    raw products, free of overflow and underflow.
+    The pivots D_j of the unpivoted LDL^T factorization of the leading
+    (n-1)-block are the ratios of consecutive leading minors; the floor on
+    each follows the backward error of Cholesky (Higham, ch. 10). Dividing
+    the block by its largest entry leaves the test unchanged and keeps it
+    from overflowing. One Cholesky gives every D_j as its squared diagonal;
+    only when it breaks down does an unpivoted elimination find the failing pivot.
     """
     m = L.shape[0] - 1
+    if m == 0:
+        return 0, False
     block = L[:m, :m]
-    a = block / (float(np.max(np.abs(block), initial=0.0)) or 1.0)
-    with np.errstate(divide="ignore"):
-        half_logs = 0.5 * np.log(np.cumsum(a * a, axis=1))
-        # log(rel * Hadamard bound) of block k sums column k-1 over its first k rows
-        log_bounds = (np.log(rel) + np.triu(half_logs).sum(axis=0)).tolist()
-    log_minor = 0.0
-    for j in range(m):
-        pivot = float(a[j, j])
-        if pivot <= 0.0:
-            return j + 1, pivot < 0.0 and log_minor + math.log(-pivot) > log_bounds[j]
-        log_minor += math.log(pivot)
-        if log_minor <= log_bounds[j]:
-            return j + 1, False
-        a[j + 1:, j + 1:] -= np.outer(a[j + 1:, j] / pivot, a[j, j + 1:])
-    return 0, False
+    a = block / (float(np.max(np.abs(block))) or 1.0)
+    floor = rel * np.abs(np.diagonal(a))
+    try:
+        low = np.diagonal(np.linalg.cholesky(a)) ** 2 <= floor
+    except np.linalg.LinAlgError:
+        for j, fj in enumerate(floor.tolist()):
+            pivot = float(a[j, j])
+            if pivot <= fj:
+                return j + 1, pivot < -fj
+            a[j + 1:, j + 1:] -= np.outer(a[j + 1:, j] / pivot, a[j, j + 1:])
+        return 0, False
+    return (int(np.argmax(low)) + 1 if low.any() else 0), False
 
 
 def is_psd_zero_row_sum(L: np.ndarray, rel: float = REL_TOL) -> DefinitenessVerdict:
     """Certificate for PSD with rank n-1, valid for zero-row-sum matrices.
 
     Strict positivity of the n-1 leading principal minors certifies the
-    verdict; all of them come from one factorization, compared with their
-    Hadamard bounds in log form. When some leading minor fails the strict
-    threshold, nothing combinatorial can be concluded, so the returned kind
+    verdict; it holds when every pivot of one Cholesky factorization of the
+    leading block clears ``rel`` times its diagonal entry. When some pivot
+    fails, nothing combinatorial can be concluded, so the returned kind
     falls back to the eigenvalue classification; the failing leading minor
     is attached when it is negative outright, otherwise an eigenvector with
     a disqualifying quadratic form serves as the witness.

@@ -27,6 +27,8 @@ C_MATRIX = np.array([[0, 0, 1, -1], [0, -1, 1, 0], [1, 1, -2, 0], [-1, 0, 0, 1]]
     (-laplacian(WeightedGraph(3, ((1, 2, 1.0), (2, 3, 2.0)))), 20, True, 0),  # the certificate proves rank n-1
     (C_MATRIX, 20, False, 2),  # the certificate's fallback and the full sweep's rank
     (C_MATRIX, 3, False, 1),  # sweep skipped: the certificate's fallback only
+    # a unit path's pivots (k + 1) / k clear their floors at any n
+    (-laplacian(WeightedGraph(1000, tuple((i, i + 1, 1.0) for i in range(1, 1000)))), 20, True, 0),
 ])
 def test_eigenvalue_calls_per_analysis(monkeypatch, a, n_max, certified, calls):
     seen = []
@@ -34,6 +36,7 @@ def test_eigenvalue_calls_per_analysis(monkeypatch, a, n_max, certified, calls):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape) or eigvalsh(m))
     report = analyze_matrix(a, n_max=n_max)
     assert report.certified == certified
+    assert report.verdict == ("passes necessary condition" if certified else "fails necessary condition")
     assert len(seen) == calls
 
 

@@ -1,6 +1,8 @@
 """Graph construction, matrices, and structural queries."""
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -74,6 +76,16 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match=r"non-integer vertex label") as info:
             WeightedGraph(3, ((1, 3, 1.0), edge, (9, 9, 1.0)))
         assert f"edge ({edge[0]},{edge[1]})" in str(info.value)
+
+    @pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy])
+    def test_copies_keep_read_only_arrays(self, clone):
+        for g in (coates_graph(INTRO_ADJACENCY), triangle()):
+            g.edges  # a cached tuple must not travel in place of the arrays
+            h = clone(g)
+            assert "edges" not in vars(h)
+            assert all(not col.flags.writeable for col in h._arrays)
+            assert all(np.array_equal(x, y) for x, y in zip(h._arrays, g._arrays))
+            assert h == g
 
     def test_numpy_integer_labels_are_stored_as_int(self):
         g = WeightedGraph(3, ((np.int64(3), np.int32(1), 2.0),))

@@ -10,6 +10,7 @@ from mesostab import (
     EdgeSubset,
     WeightedGraph,
     cauchy_binet_expand,
+    coates_graph,
     connected_components,
     enumerate_forest_family,
     incidence_factorization,
@@ -128,6 +129,18 @@ class TestForestFamily:
             with pytest.raises(GuardLimitError, match="^forest enumeration is guarded at 32 edges, got 33$"):
                 f(g, [1, 2])
 
+    def test_edge_counts_read_the_arrays(self):
+        # Neither the guard nor a public EdgeSubset builds a dense host's edge tuple
+        a = np.random.default_rng(19).uniform(0.5, 1.5, (40, 40))
+        g = coates_graph(a + a.T)
+        assert EdgeSubset(g, frozenset({819})).members == {819}
+        with pytest.raises(ValueError, match="edge index 820 outside"):
+            EdgeSubset(g, frozenset({820}))
+        for f in (enumerate_forest_family, principal_minor_combinatorial):
+            with pytest.raises(GuardLimitError, match="got 820$"):
+                f(g, [1])
+        assert "edges" not in vars(g)
+
 
 def complete_graph(n):
     return WeightedGraph(n, tuple((i, j, 1.0) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
@@ -192,8 +205,6 @@ class TestCombinatorialMinor:
             [0.0, 1.0, 0.0, 1.0],
             [-3.0, -2.0, 1.0, 0.0],
         ])
-        from mesostab import coates_graph
-
         g = coates_graph(a)
         L = laplacian(g)
         got = principal_minor_combinatorial(g, [1, 2, 3])

@@ -6,8 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_positive_graph, random_zero_row_sum_matrix
+from helpers import random_positive_graph, random_signed_graph, random_zero_row_sum_matrix
 from mesostab import (
     DefinitenessVerdict,
     EquivalenceReport,
@@ -26,7 +28,7 @@ from mesostab import (
 )
 from mesostab import sylvester
 from mesostab.numerics import REL_TOL, det_partial_pivot
-from mesostab.sylvester import _classify_by_eigenvalues
+from mesostab.sylvester import _classify_by_eigenvalues, _leading_minor_refusal
 
 C_MATRIX = np.array([
     [0.0, 0.0, 1.0, -1.0],
@@ -273,15 +275,15 @@ class TestEquivalences:
 
 
 def reference_certificate(L, rel=REL_TOL):
-    """The per-k certificate: a fresh determinant and Hadamard bound for each leading block."""
+    """The per-k certificate: each pivot taken afresh as a ratio of elimination determinants."""
     n = L.shape[0]
     for k in range(1, n):
-        sub = L[:k, :k]
-        minor = det_partial_pivot(sub)
-        threshold = rel * float(np.prod(np.sqrt((sub * sub).sum(axis=1))))  # Hadamard bound
-        if minor <= threshold:
+        minor = det_partial_pivot(L[:k, :k])
+        pivot = minor / det_partial_pivot(L[:k - 1, :k - 1])
+        floor = rel * abs(float(L[k - 1, k - 1]))
+        if pivot <= floor:
             kind, rank, w = _classify_by_eigenvalues(L)
-            if minor < -threshold:
+            if pivot < -floor:
                 witness = MinorWitness(tuple(range(1, k + 1)), minor)
             elif kind in ("indefinite", "negative-semi-definite", "negative-definite"):
                 v = np.linalg.eigh(L)[1][:, 0]
@@ -346,13 +348,56 @@ class TestLeadingMinorKernel:
                 certified += verdict.witness is None and verdict.rank_estimate == n - 1
         assert certified >= 10
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e150])
-    def test_certifies_scaled_path_without_eigenvalues(self, monkeypatch, scale):
+    @pytest.mark.parametrize("n, scale", [(10, 1e-150), (10, 1e150), (25, 1.0), (60, 1.0), (1000, 1.0)])
+    def test_certifies_path_without_eigenvalues(self, monkeypatch, n, scale):
         monkeypatch.setattr(sylvester.np.linalg, "eigvalsh", _no_eigenvalues)
         monkeypatch.setattr(sylvester.np.linalg, "eigh", _no_eigenvalues)
-        path = WeightedGraph(10, tuple((i, i + 1, 1.0) for i in range(1, 10)))
+        path = WeightedGraph(n, tuple((i, i + 1, 1.0) for i in range(1, n)))
         verdict = is_psd_zero_row_sum(scale * laplacian(path))
-        assert verdict == DefinitenessVerdict("positive-semi-definite", 9)
+        assert verdict == DefinitenessVerdict("positive-semi-definite", n - 1)
+
+    def test_certifies_permuted_weighted_path_without_eigenvalues(self, monkeypatch):
+        monkeypatch.setattr(sylvester.np.linalg, "eigvalsh", _no_eigenvalues)
+        monkeypatch.setattr(sylvester.np.linalg, "eigh", _no_eigenvalues)
+        rng = np.random.default_rng(79)
+        n = 40
+        L = laplacian(WeightedGraph(n, tuple((i, i + 1, float(rng.uniform(0.5, 2.0))) for i in range(1, n))))
+        for _ in range(5):
+            p = rng.permutation(n)
+            assert is_psd_zero_row_sum(L[np.ix_(p, p)]) == DefinitenessVerdict("positive-semi-definite", n - 1)
+
+    @pytest.mark.parametrize("weights, tail", [
+        ((0.1, 0.1, 0.2), 1.0),  # Cholesky runs through a pivot of rounding size
+        ((0.1, 0.1, 0.2), -1.0),  # the elimination meets it positive, then a negative pivot
+        ((0.1, 0.1, 0.5), -1.0),  # the elimination meets it negative
+    ])
+    def test_rounding_size_pivot_refuses_without_witness(self, weights, tail):
+        # a triangle's Laplacian is singular, so the third pivot is rounding noise:
+        # it must neither pass nor count as a negative minor
+        w12, w13, w23 = weights
+        g = WeightedGraph(5, ((1, 2, w12), (1, 3, w13), (2, 3, w23), (4, 5, tail)))
+        assert _leading_minor_refusal(laplacian(g), REL_TOL) == (3, False)
+
+    def test_minor_witnesses_reverify(self):
+        # each emitted leading minor is negative by an elimination of its own
+        rng = np.random.default_rng(83)
+        seen = 0
+        for trial in range(300):
+            n = int(rng.integers(2, 13))
+            if trial % 3 == 0:
+                a = dense_kuramoto_jacobian(rng, n, scale=10.0 ** rng.uniform(-2, 2))
+            elif trial % 3 == 1:
+                a = laplacian(random_signed_graph(rng, n, int(rng.integers(n - 1, n * (n - 1) // 2 + 1))))
+            else:
+                a = random_zero_row_sum_matrix(rng, n)
+            for L in (a, -a):
+                witness = is_psd_zero_row_sum(L).witness
+                if isinstance(witness, MinorWitness):
+                    seen += 1
+                    k = len(witness.subset)
+                    assert witness.subset == tuple(range(1, k + 1))
+                    assert witness.value == det_partial_pivot(L[:k, :k]) < 0
+        assert seen >= 100
 
     def test_certifies_dense_jacobian_without_eigenvalues(self, monkeypatch):
         rng = np.random.default_rng(73)
@@ -368,3 +413,39 @@ class TestLeadingMinorKernel:
             verdict = is_psd_zero_row_sum(-jacobian(system, x))
         assert verdict == DefinitenessVerdict("positive-semi-definite", n - 1)
 
+
+SCALES = (1e-6, 1.0, 1e6)
+
+
+def _permuted_laplacian(seed, n, signed):
+    """A random connected graph's Laplacian with its vertices permuted: weights
+    log-uniform in [0.1, 10], or integers in [-3, 3] when ``signed``."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(n - 1, n * (n - 1) // 2 + 1))
+    if signed:
+        L = laplacian(random_signed_graph(rng, n, m))
+    else:
+        g = random_positive_graph(rng, n, m)
+        L = laplacian(WeightedGraph(n, tuple((i, j, float(10.0 ** rng.uniform(-1, 1))) for i, j, _ in g.edges)))
+    p = rng.permutation(n)
+    return L[np.ix_(p, p)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 24), st.sampled_from(SCALES))
+def test_certificate_holds_wherever_eigenvalues_find_rank_n_minus_one(seed, n, scale):
+    # A PSD rank n-1 classification puts lambda_2 above 1e-8 * n * max|a|. Every
+    # pivot is at least the grounded block's least eigenvalue, which is at least
+    # lambda_2 / n, ten times the pivot floor rel * |a_jj|: the eigenvalue
+    # fallback is never what certifies.
+    L = scale * _permuted_laplacian(seed, n, signed=False)
+    kind, rank, _ = _classify_by_eigenvalues(L)
+    if (kind, rank) == ("positive-semi-definite", n - 1):
+        assert _leading_minor_refusal(L, REL_TOL) == (0, False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 24), st.booleans())
+def test_certificate_refusal_is_scale_invariant(seed, n, signed):
+    L = _permuted_laplacian(seed, n, signed)
+    assert len({_leading_minor_refusal(s * L, REL_TOL) for s in SCALES}) == 1
