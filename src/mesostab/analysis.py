@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import WeightedGraph, _edge_tuples, coates_graph, cut_edges, laplacian
-from .numerics import REL_TOL, require_symmetric, require_zero_row_sums
+from .numerics import REL_TOL
 from .structure import (
     LineBoundReport,
     _positive_spanning_forest,
@@ -69,12 +69,12 @@ def analyze_matrix(a: np.ndarray, *, rel: float = REL_TOL, n_max: int = DEFAULT_
     callers with a physical coupling network use to pin the spanning test to
     that network.
     """
-    a = require_zero_row_sums(require_symmetric(a), rel)
-    n = a.shape[0]
-    notes: list[str] = []
-
+    # The certificate validates -a, which is symmetric with zero row sums exactly when a is.
+    a = np.asarray(a, dtype=float)
     neg = -a
     certificate = is_psd_zero_row_sum(neg, rel)
+    n = a.shape[0]
+    notes: list[str] = []
     certified = certifies_psd_max_rank(certificate, n)
 
     full: Optional[DefinitenessVerdict] = None

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import PASSES, StabilityReport, analyze_graph, analyze_matrix
+from .graphs import _edge_tuples
 from .io import ParseError, parse_edge_list, parse_kuramoto, parse_matrix_csv, parse_phases
 from .kuramoto import (
     classify_stability,
@@ -65,7 +66,7 @@ def _report_dict(report: StabilityReport) -> dict:
     for r in report.line_reports:
         lines.append({
             "edges": [list(t) for t in r.line.edge_tuples()],
-            "negative_edges": [list(r.line.host.edges[idx]) for idx in r.negative_edges],
+            "negative_edges": [list(t) for t in _edge_tuples(r.line.host, r.negative_edges)],
             "bound": r.bound,
             "violated": r.violated,
         })
@@ -256,7 +257,7 @@ def _cmd_verify_identity(args) -> int:
 def _cmd_self_test(args) -> int:
     from .selftest import run_self_test
 
-    failures = run_self_test(verbose=True)
+    failures = run_self_test()
     return EXIT_OK if failures == 0 else EXIT_OBSTRUCTION
 
 

@@ -64,8 +64,9 @@ class WeightedGraph:
     Edges are (i, j, w) with i <= j; the order of the edge list is
     preserved and edge indices (0-based positions in ``edges``) identify
     edges throughout the package. Vertex labels must be integers (bool is
-    not). The edges are stored once, as read-only arrays (``_arrays``);
-    ``edges`` is built from them on first read and cached.
+    not). The edges are stored once, as read-only arrays (``_arrays``),
+    and every reader in the package takes those; ``edges`` is a public
+    view, built from them on first read and cached.
     """
 
     n: int
@@ -105,14 +106,13 @@ class WeightedGraph:
 
     def simple_edges(self):
         """(index, i, j, w) for every non-loop edge."""
-        for idx, (i, j, w) in enumerate(self.edges):
-            if i != j:
-                yield idx, i, j, w
+        idx, i, j, w = _simple_columns(self)
+        return zip(idx.tolist(), (i + 1).tolist(), (j + 1).tolist(), w.tolist())
 
     def loops(self):
-        for idx, (i, j, w) in enumerate(self.edges):
-            if i == j:
-                yield idx, i, w
+        i, j, w = self._arrays
+        idx = np.flatnonzero(i == j)
+        return zip(idx.tolist(), (i[idx] + 1).tolist(), w[idx].tolist())
 
     def adjacency(self) -> np.ndarray:
         """Weighted adjacency matrix; loop weights land on the diagonal."""
@@ -176,17 +176,16 @@ class EdgeSubset:
         return tuple(sorted(self.members))
 
     def edge_tuples(self) -> tuple[tuple[int, int, float], ...]:
-        return tuple(self.host.edges[m] for m in self.sorted_members())
+        return _edge_tuples(self.host, self.sorted_members())
 
     def touched_vertices(self) -> frozenset[int]:
-        verts = set()
-        for i, j, _ in self.edge_tuples():
-            verts.add(i)
-            verts.add(j)
-        return frozenset(verts)
+        i, j, _ = self.host._arrays
+        idx = np.array(self.sorted_members(), dtype=np.int64)
+        return frozenset((np.concatenate([i[idx], j[idx]]) + 1).tolist())
 
     def weight_product(self) -> float:
-        return math.prod(w for _, _, w in self.edge_tuples())
+        """Product of the member weights, multiplied in ascending edge-index order."""
+        return math.prod(self.host._arrays.w[np.array(self.sorted_members(), dtype=np.int64)].tolist())
 
 
 @dataclass(frozen=True)
@@ -236,10 +235,8 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
 
     Raises ValueError when a weighted degree overflows.
     """
-    _, i, j, w = _simple_columns(g)
-    a = np.zeros((g.n, g.n))
-    a[i, j] = w
-    a[j, i] = w
+    a = g.adjacency()
+    np.fill_diagonal(a, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         degrees = a.sum(axis=1)
     overflowed = np.flatnonzero(~np.isfinite(degrees))
@@ -256,14 +253,12 @@ def negated_adjacency_check(a: np.ndarray, rel: float = REL_TOL) -> bool:
 
 def incidence_factorization(g: WeightedGraph) -> OrientedIncidence:
     """Oriented incidence matrix M and weights w with M diag(w) M^T = laplacian(g)."""
-    cols = [(idx, i, j, w) for idx, i, j, w in g.simple_edges()]
-    m = np.zeros((g.n, len(cols)), dtype=int)
-    weights = np.zeros(len(cols))
-    for c, (_, i, j, w) in enumerate(cols):
-        m[i - 1, c] = 1
-        m[j - 1, c] = -1
-        weights[c] = w
-    return OrientedIncidence(g.n, m, weights, tuple(idx for idx, *_ in cols))
+    idx, i, j, w = _simple_columns(g)
+    m = np.zeros((g.n, len(idx)), dtype=int)
+    cols = np.arange(len(idx))
+    m[i, cols] = 1
+    m[j, cols] = -1
+    return OrientedIncidence(g.n, m, w, tuple(idx.tolist()))
 
 
 def _subset_forest(k: EdgeSubset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

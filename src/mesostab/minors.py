@@ -113,8 +113,7 @@ def _forest_leaves(n: int, candidates: Sequence[tuple[int, int, int, float]],
 
 
 def _family_leaves(g: WeightedGraph, subset: Sequence[int]) -> list[tuple[tuple[int, ...], float]]:
-    candidates = [(idx, i, j, w) for idx, i, j, w in g.simple_edges()]
-    return _forest_leaves(g.n, candidates, set(g.vertices).difference(subset), len(subset))
+    return _forest_leaves(g.n, list(g.simple_edges()), set(g.vertices).difference(subset), len(subset))
 
 
 def _require_edge_guard(g: WeightedGraph) -> None:

@@ -117,7 +117,8 @@ def _check_two_oscillators() -> int:
     return 0 if abs(w[0] + 2 * math.cos(phi)) < 1e-8 and abs(w[1]) < 1e-10 else 1
 
 
-def run_self_test(verbose: bool = False) -> int:
+def run_self_test() -> int:
+    """Run every check, print a PASS or FAIL line for each, and return the failure count."""
     rng = np.random.default_rng(20240801)
     checks = [
         ("forest sums match direct minors", lambda: _check_minor_oracle(rng, 25)),
@@ -130,6 +131,5 @@ def run_self_test(verbose: bool = False) -> int:
     for name, fn in checks:
         bad = fn()
         total += bad
-        if verbose:
-            print(f"{'PASS' if bad == 0 else 'FAIL'}  {name}" + ("" if bad == 0 else f" ({bad} failures)"))
+        print(f"{'PASS' if bad == 0 else 'FAIL'}  {name}" + ("" if bad == 0 else f" ({bad} failures)"))
     return total

@@ -20,6 +20,8 @@ import numpy as np
 from .graphs import (
     EdgeSubset,
     WeightedGraph,
+    _degrees,
+    _edge_forest,
     _edge_tuples,
     _index_forest,
     _simple_columns,
@@ -221,7 +223,10 @@ def _identity_terms(g: WeightedGraph, vertices: np.ndarray, groups: Iterable[np.
     weight is that of the set without its highest place times that place's
     s_v, so every product runs from 1.0 in ascending vertex order, as
     ``math.prod`` does; the same doubling forms the rest of each marker set,
-    the side minus the set, as a bitmask of places in ``vertices``. Each
+    the side minus the set, as a bitmask of places in ``vertices``. The
+    doubling runs only over the columns whose s_v is nonzero on some side of
+    the group: a marker set holding another column weighs zero on every
+    side, so it is never formed, and that column stays in every rest. Each
     distinct rest of a nonzero weight takes its minor once per call, in
     first-use order.
     """
@@ -230,7 +235,6 @@ def _identity_terms(g: WeightedGraph, vertices: np.ndarray, groups: Iterable[np.
     labels = (np.asarray(vertices) + 1).tolist()
     minors = {0: 1.0}  # by rest bitmask; the empty minor is 1
     for rows in groups:
-        masks, signs = _marker_sets(rows.shape[1])
         sides = [tuple(labels[p] for p in row) for row in rows.tolist()]
         s = np.empty(rows.shape)
         for r, side in enumerate(sides):
@@ -241,11 +245,13 @@ def _identity_terms(g: WeightedGraph, vertices: np.ndarray, groups: Iterable[np.
                 except OverflowError:
                     named = ",".join(map(str, side))
                     raise OverflowError(f"crossing sum of vertex {v} on side V1={{{named}}} overflows") from None
+        live = np.flatnonzero(s.any(axis=0)).tolist()
+        masks, signs = _marker_sets(len(live))
         bits = 1 << rows
         # a product may overflow, and inf times a zero minor is nan, silently as with floats
         with np.errstate(over="ignore", invalid="ignore"):
             weights, rests = np.ones((len(rows), 1)), bits.sum(axis=1, keepdims=True)
-            for t in range(rows.shape[1]):
+            for t in live:
                 weights = np.hstack([weights, weights * s[:, t:t + 1]])
                 rests = np.hstack([rests, rests - bits[:, t:t + 1]])
             weights = weights[:, masks]
@@ -315,32 +321,19 @@ class LineBoundReport:
 
 
 def _require_induced_line(g: WeightedGraph, h: EdgeSubset) -> None:
-    deg = g.degree_map()
-    vert_set = h.touched_vertices()
-    verts = sorted(vert_set)
-    within = {}
-    for idx, i, j, _ in g.simple_edges():
-        if i in vert_set and j in vert_set:
-            within[idx] = (i, j)
-    if set(within) != set(h.members):
+    idx, i, j, _ = _simple_columns(g)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[np.fromiter(h.touched_vertices(), dtype=np.int64) - 1] = True
+    within = inside[i] & inside[j]
+    if set(idx[within].tolist()) != h.members:
         raise ValueError("edge set is not induced: its vertices carry extra edges")
-    neighbours = {v: [] for v in verts}
-    for i, j in within.values():
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    ends = [v for v in verts if len(neighbours[v]) == 1]
-    simple = len(h.members) >= 2 and len(ends) == 2 \
-        and all(len(neighbours[v]) == 2 for v in verts if v not in ends)
-    if simple:
-        # degrees alone pass a path beside disjoint cycles; a walk from one end covers only the path
-        prev, cur, walked = None, ends[0], 1
-        while cur != ends[1]:
-            prev, cur = cur, next(u for u in neighbours[cur] if u != prev)
-            walked += 1
-        simple = walked == len(verts)
-    if not simple:
+    # A tree in which no vertex holds three of the edges is a path.
+    i, j = i[within], j[within]
+    _, labels, forest = _edge_forest(i, j)
+    held = np.bincount(np.concatenate([i, j]), minlength=g.n)
+    if len(i) < 2 or len(forest) < len(i) or labels.any() or held.max() > 2:
         raise ValueError("edge set is not a simple path with two endpoints")
-    if any(deg[v] != 2 for v in verts if v not in ends):
+    if (_degrees(g)[held == 2] != 2).any():
         raise ValueError("an interior vertex has degree other than 2 in the host graph")
 
 
@@ -353,12 +346,14 @@ def line_weight_bound(g: WeightedGraph, h: EdgeSubset, e: int) -> float:
     _require_induced_line(g, h)
     if e not in h.members:
         raise ValueError(f"edge index {e} is not part of the line")
-    negatives = [idx for idx in h.sorted_members() if g.edges[idx][2] < 0]
+    members = h.sorted_members()
+    weights = g._arrays.w[np.array(members, dtype=np.int64)].tolist()
+    negatives = [idx for idx, w in zip(members, weights) if w < 0]
     if negatives != [e]:
         raise ValueError(
             f"line must have exactly the one negative edge {e}; found negatives {negatives}"
         )
-    return 1.0 / math.fsum(1.0 / g.edges[idx][2] for idx in h.sorted_members() if idx != e)
+    return 1.0 / math.fsum(1.0 / w for idx, w in zip(members, weights) if idx != e)
 
 
 def line_obstruction_scan(g: WeightedGraph, rel: float = REL_TOL) -> list[LineBoundReport]:
@@ -369,15 +364,16 @@ def line_obstruction_scan(g: WeightedGraph, rel: float = REL_TOL) -> list[LineBo
     remaining weights. Reports come in lexicographic line order.
     """
     reports = []
+    w = g._arrays.w
     for line in induced_lines(g):
-        negatives = tuple(idx for idx in line.sorted_members() if g.edges[idx][2] < 0)
+        negatives = tuple(idx for idx in line.sorted_members() if w[idx] < 0)
         if len(negatives) == 0:
             reports.append(LineBoundReport(line, negatives, None, False))
         elif len(negatives) >= 2:
             reports.append(LineBoundReport(line, negatives, None, True))
         else:
             bound = line_weight_bound(g, line, negatives[0])
-            magnitude = abs(g.edges[negatives[0]][2])
+            magnitude = abs(float(w[negatives[0]]))
             tol = rel * max(1.0, bound, magnitude)
             reports.append(LineBoundReport(line, negatives, bound, magnitude > bound + tol))
     return reports

@@ -69,13 +69,13 @@ class DefinitenessVerdict:
         return self.kind in (POSITIVE_DEFINITE, POSITIVE_SEMI_DEFINITE)
 
 
-def _classify_by_eigenvalues(L: np.ndarray, rel: float = EIG_REL_TOL) -> tuple[str, int, np.ndarray]:
+def _classify_by_eigenvalues(L: np.ndarray) -> tuple[str, int, np.ndarray]:
     """Kind, rank estimate and ascending eigenvalues of a symmetric matrix.
 
-    An eigenvalue counts as zero within ``scaled_tolerance(L, rel)``.
+    An eigenvalue counts as zero within ``scaled_tolerance(L, EIG_REL_TOL)``.
     """
     w = np.linalg.eigvalsh(L)
-    tol = scaled_tolerance(L, rel)
+    tol = scaled_tolerance(L, EIG_REL_TOL)
     pos = int(np.count_nonzero(w > tol))
     neg = int(np.count_nonzero(w < -tol))
     rank = pos + neg
@@ -89,9 +89,9 @@ def _classify_by_eigenvalues(L: np.ndarray, rel: float = EIG_REL_TOL) -> tuple[s
     return kind, rank, w
 
 
-def eigen_rank(L: np.ndarray, rel: float = EIG_REL_TOL) -> int:
+def eigen_rank(L: np.ndarray) -> int:
     """Rank estimate: number of eigenvalues above the zero threshold."""
-    return _classify_by_eigenvalues(L, rel)[1]
+    return _classify_by_eigenvalues(L)[1]
 
 
 def _extend_combinations(prev: np.ndarray, n: int) -> np.ndarray:

@@ -6,7 +6,8 @@ from trying every bipartition, and characteristic polynomials from exact
 rational Faddeev-LeVerrier recursion. The array-backed graph layer is
 checked against the per-edge loops it replaced: the double-loop Coates
 graph, a greedy dict union-find for components, the positive forest and the
-negative cut, and the neighbour-dict walk for induced lines. The exhaustive
+negative cut, the neighbour-dict walk for induced lines, the walk that
+validated one line, and the per-edge incidence build. The exhaustive
 minor sweep, the five-way check and the cut identity are checked against
 their one-shot forms: the sweep that stacks every subset of a size at once
 and runs to the end, the five-way check that takes one proper subset at a
@@ -331,6 +332,51 @@ def walk_induced_lines(g: WeightedGraph):
             if ok and len(chain) >= 2 and (path[0], path[-1]) not in edge_lookup:
                 found.add(tuple(sorted(chain)))
     return sorted(found)
+
+
+def walked_line_check(g: WeightedGraph, h: EdgeSubset) -> None:
+    """The induced-line validator as a walk over neighbour dicts built from
+    ``g.edges``: raises the ValueError of the first check that fails."""
+    simple = [(idx, i, j) for idx, (i, j, _) in enumerate(g.edges) if i != j]
+    deg = {v: 0 for v in g.vertices}
+    for _, i, j in simple:
+        deg[i] += 1
+        deg[j] += 1
+    vert_set = {v for m in h.members for v in h.host.edges[m][:2]}
+    verts = sorted(vert_set)
+    within = {idx: (i, j) for idx, i, j in simple if i in vert_set and j in vert_set}
+    if set(within) != set(h.members):
+        raise ValueError("edge set is not induced: its vertices carry extra edges")
+    neighbours = {v: [] for v in verts}
+    for i, j in within.values():
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    ends = [v for v in verts if len(neighbours[v]) == 1]
+    is_simple = len(h.members) >= 2 and len(ends) == 2 \
+        and all(len(neighbours[v]) == 2 for v in verts if v not in ends)
+    if is_simple:
+        # degrees alone pass a path beside disjoint cycles; a walk from one end covers only the path
+        prev, cur, walked = None, ends[0], 1
+        while cur != ends[1]:
+            prev, cur = cur, next(u for u in neighbours[cur] if u != prev)
+            walked += 1
+        is_simple = walked == len(verts)
+    if not is_simple:
+        raise ValueError("edge set is not a simple path with two endpoints")
+    if any(deg[v] != 2 for v in verts if v not in ends):
+        raise ValueError("an interior vertex has degree other than 2 in the host graph")
+
+
+def loop_incidence(g: WeightedGraph):
+    """Incidence matrix, weights and edge indices of ``g``'s non-loop edges, a column at a time from ``g.edges``."""
+    cols = [(idx, i, j, w) for idx, (i, j, w) in enumerate(g.edges) if i != j]
+    m = np.zeros((g.n, len(cols)), dtype=int)
+    weights = np.zeros(len(cols))
+    for c, (_, i, j, w) in enumerate(cols):
+        m[i - 1, c] = 1
+        m[j - 1, c] = -1
+        weights[c] = w
+    return m, weights, tuple(idx for idx, *_ in cols)
 
 
 def unchunked_sweep(L, rel=REL_TOL):

@@ -1,6 +1,7 @@
 """The shared obstruction pipeline on matrices and graphs."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mesostab import (
     laplacian,
     positive_spanning_tree,
 )
-from mesostab import analysis
+from mesostab import analysis, graphs, sylvester
 from mesostab.cli import _report_dict
 
 C_MATRIX = np.array([[0, 0, 1, -1], [0, -1, 1, 0], [1, 1, -2, 0], [-1, 0, 0, 1]], dtype=float)
@@ -115,6 +116,46 @@ def test_large_input_skips_full_sweep_with_note():
 def test_rejects_non_symmetric_input():
     with pytest.raises(ValueError, match="not symmetric"):
         analyze_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def _numpy_message(a):
+    try:
+        np.asarray(a, dtype=float)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("numpy converted the input")
+
+
+@pytest.mark.parametrize("a, message", [
+    ([], "expected a square matrix, got shape (0,)"),
+    (np.zeros((0, 0)), "empty matrix"),
+    ([1.0, -1.0], "expected a square matrix, got shape (2,)"),
+    (5.0, "expected a square matrix, got shape ()"),
+    (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+    ([[1.0, -1.0], [2.0]], None),  # ragged: numpy's own message
+    ("abc", None),
+    ([["a", "b"], ["c", "d"]], None),
+    ([[math.nan, 0.0], [0.0, 0.0]], "matrix contains NaN or Inf entries"),
+    ([[1.0, math.inf], [math.inf, 1.0]], "matrix contains NaN or Inf entries"),
+    ([[0.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 2.0, -2.0]], "matrix is not symmetric: entries (2,3) and (3,2) differ"),
+    ([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.5], [0.0, 1.5, -1.0]], "matrix does not have zero row sums (row 2)"),
+])
+def test_bad_matrix_is_named_as_before(a, message):
+    # the certificate validates -a, and negation moves no entry, row sum or tolerance
+    with pytest.raises(ValueError) as info:
+        analyze_matrix(a)
+    assert str(info.value) == (message or _numpy_message(a))
+
+
+def test_certified_analysis_checks_symmetry_twice(monkeypatch):
+    # once for the certificate and once for the graph build
+    calls = []
+    for module in (analysis, graphs, sylvester):
+        if hasattr(module, "require_symmetric"):
+            check = getattr(module, "require_symmetric")
+            monkeypatch.setattr(module, "require_symmetric", lambda a, check=check: calls.append(1) or check(a))
+    report = analyze_matrix(-laplacian(WeightedGraph(3, ((1, 2, 1.0), (2, 3, 2.0)))))
+    assert report.certified and len(calls) == 2
 
 
 @pytest.mark.parametrize("bad_vertex", [0, 4])

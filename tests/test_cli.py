@@ -87,6 +87,16 @@ class TestAnalyzeMatrix:
         assert main(["analyze-matrix", str(path)]) == 2
         assert "zero row sums" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("0,0,0\n0,-1,1\n0,2,-2\n", "matrix is not symmetric: entries (2,3) and (3,2) differ"),
+        ("-1,1,0\n1,-2,1.5\n0,1.5,-1\n", "matrix does not have zero row sums (row 2)"),
+    ])
+    def test_invalid_matrix_names_its_defect(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["analyze-matrix", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_parse_error_names_line(self, capsys, tmp_path):
         path = tmp_path / "broken.csv"
         path.write_text("1,2\nx,4\n")

@@ -5,13 +5,16 @@ return exactly what the loop oracles in ``helpers`` return. The Kuramoto
 phase condition and coupling components, which no longer build graphs, are
 held to the graph route they replaced. The constructor's per-edge check
 is held to the array validator it replaced, on edge lists with every kind
-of defect.
+of defect. The edge readers (``simple_edges``, ``loops``, the ``EdgeSubset``
+methods, the incidence factorization and the line validator) are held to
+their forms over the ``edges`` tuple, and no structural query builds it.
 """
 
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,26 +25,39 @@ from helpers import (
     greedy_negative_cut,
     greedy_positive_forest,
     loop_coates_graph,
+    loop_incidence,
     signed_graph_phase_condition,
     union_find_subset,
     walk_induced_lines,
+    walked_line_check,
 )
 from mesostab import (
     EdgeSubset,
     KuramotoSystem,
     WeightedGraph,
+    analysis,
     analyze_matrix,
     classify_stability,
     coates_graph,
     connected_components,
+    cut_decomposition,
+    cut_edges,
+    cut_identity_terms,
+    enumerate_forest_family,
     find_negative_cut,
     graph_components,
+    incidence_factorization,
     induced_lines,
     is_forest,
+    laplacian,
+    line_obstruction_scan,
+    line_weight_bound,
     positive_spanning_tree,
+    principal_minor_combinatorial,
     spanning_phase_condition,
 )
-from mesostab.structure import _positive_spanning_forest
+from mesostab.cli import _report_dict
+from mesostab.structure import _positive_spanning_forest, _require_induced_line
 
 WEIGHTS = st.one_of(st.integers(min_value=-4, max_value=-1), st.integers(min_value=1, max_value=4))
 
@@ -205,6 +221,119 @@ def test_coupling_graph_matches_double_loop(case):
 @given(sparse_line_graphs())
 def test_induced_lines_match_neighbour_walk(g):
     assert [line.sorted_members() for line in induced_lines(g)] == walk_induced_lines(g)
+
+
+def _typed(rows):
+    """Rows with the type of every entry, so an int or float read from the arrays must be a Python one."""
+    return [(row, tuple(map(type, row))) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_edge_lists())
+def test_edge_readers_match_the_tuple(g):
+    simple, loops, inc = list(g.simple_edges()), list(g.loops()), incidence_factorization(g)
+    assert _typed(simple) == _typed([(idx, i, j, w) for idx, (i, j, w) in enumerate(g.edges) if i != j])
+    assert _typed(loops) == _typed([(idx, i, w) for idx, (i, j, w) in enumerate(g.edges) if i == j])
+    matrix, weights, indices = loop_incidence(g)
+    assert inc.matrix.dtype == matrix.dtype and np.array_equal(inc.matrix, matrix)
+    assert inc.weights.dtype == weights.dtype and np.array_equal(inc.weights, weights)
+    assert inc.edge_indices == indices
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_subsets())
+def test_subset_readers_match_the_tuple(k):
+    ordered = [k.host.edges[m] for m in k.sorted_members()]
+    assert _typed(k.edge_tuples()) == _typed(ordered)
+    assert k.touched_vertices() == frozenset(v for i, j, _ in ordered for v in (i, j))
+    # the same float, multiplied in the same order (the int 1 for no members)
+    assert repr(k.weight_product()) == repr(math.prod(w for _, _, w in ordered))
+
+
+@st.composite
+def line_candidates(draw):
+    """Edge subsets that are often paths: an induced line of the host, a
+    self-avoiding walk, or any subset, with at most one edge toggled."""
+    g = draw(st.one_of(shuffled_edge_lists(), sparse_line_graphs()))
+    m = len(g._arrays.w)
+    lines = induced_lines(g)
+    kind = draw(st.sampled_from(["line", "walk", "any"]))
+    if kind == "line" and lines:
+        members = set(draw(st.sampled_from(lines)).members)
+    elif kind == "walk":
+        neighbours = {v: [] for v in g.vertices}
+        for idx, i, j, _ in g.simple_edges():
+            neighbours[i].append((j, idx))
+            neighbours[j].append((i, idx))
+        path, members = [draw(st.sampled_from(list(g.vertices)))], set()
+        for _ in range(draw(st.integers(min_value=0, max_value=g.n))):
+            steps = [(v, idx) for v, idx in neighbours[path[-1]] if v not in path]
+            if not steps:
+                break
+            v, idx = draw(st.sampled_from(steps))
+            path.append(v)
+            members.add(idx)
+    else:
+        members = draw(st.sets(st.integers(min_value=0, max_value=m - 1))) if m else set()
+    if m and draw(st.booleans()):
+        members ^= {draw(st.integers(min_value=0, max_value=m - 1))}
+    return EdgeSubset(g, frozenset(members))
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_candidates())
+def test_line_validator_matches_the_walk(k):
+    assert _outcome(lambda: _require_induced_line(k.host, k)) == _outcome(lambda: walked_line_check(k.host, k))
+
+
+def _dense_host_with_lines():
+    """K6 with a loop, and two pendant paths off it: 6-7-8-9 with one negative
+    edge and 1-10-11-12 with two; 22 edges, so the forest enumeration runs."""
+    edges = [(i, j, -0.5 if (i, j) == (2, 5) else 1.0 + i + j) for i in range(1, 7) for j in range(i + 1, 7)]
+    edges += [(3, 3, 2.0), (6, 7, 2.0), (7, 8, -0.25), (8, 9, 3.0), (1, 10, -1.0), (10, 11, 2.0), (11, 12, -1.0)]
+    return WeightedGraph(12, edges)
+
+
+def _first_line_bound(g):
+    line = next(line for line in induced_lines(g) if 7 in line.touched_vertices())
+    return line_weight_bound(g, line, 17)
+
+
+def _analysis_graph(g):
+    built = []
+    with mock.patch.object(analysis, "coates_graph", lambda *a, **kw: built.append(coates_graph(*a, **kw)) or built[-1]):
+        report = analyze_matrix(-laplacian(g))
+    _report_dict(report)
+    (host,) = built
+    assert report.negative_cut is not None and any(r.bound is not None for r in report.line_reports)
+    return host
+
+
+def _subset_queries(g):
+    k = EdgeSubset(g, frozenset({0, 3, 15, 16, 20}))
+    return k.edge_tuples(), k.touched_vertices(), k.weight_product(), connected_components(k), is_forest(k)
+
+
+STRUCTURAL_QUERIES = {
+    "analyze_matrix": _analysis_graph,
+    "line_obstruction_scan": line_obstruction_scan,
+    "line_weight_bound": _first_line_bound,
+    "enumerate_forest_family": lambda g: enumerate_forest_family(g, (1, 7, 8)),
+    "principal_minor_combinatorial": lambda g: principal_minor_combinatorial(g, (1, 7, 8)),
+    "cut_decomposition": lambda g: cut_decomposition(g, (7, 8, 9), (8,)),
+    "cut_identity_terms": lambda g: cut_identity_terms(g, (1, 7, 8, 10)),
+    "incidence_factorization": incidence_factorization,
+    "EdgeSubset": _subset_queries,
+    "spanning_and_cut": lambda g: (positive_spanning_tree(g), find_negative_cut(g), cut_edges(g, (7, 8))),
+    "readers": lambda g: (list(g.simple_edges()), list(g.loops()), g.degree_map(), graph_components(g)),
+}
+
+
+@pytest.mark.parametrize("query", STRUCTURAL_QUERIES.values(), ids=STRUCTURAL_QUERIES.keys())
+def test_structural_queries_never_build_the_edge_tuple(query):
+    g = _dense_host_with_lines()
+    host = query(g)
+    assert "edges" not in vars(host if isinstance(host, WeightedGraph) else g)
 
 
 @st.composite

@@ -13,6 +13,7 @@ form.
 import itertools
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -255,6 +256,26 @@ def test_one_side_computes_only_the_minors_of_its_nonzero_markers(monkeypatch):
     terms = cut_identity_terms(g, side)
     assert calls == [side, side[:-1]]
     assert terms == rescanned_cut_identity_terms(g, side)
+
+
+def test_one_side_builds_the_markers_of_its_crossing_vertices_only():
+    # a 20-vertex path side whose two ends alone cross: 4 marker sets, not 2^20
+    edges = [(v, v + 1, 1.0 + v / 10) for v in range(1, 20)]
+    edges += [(1, 21, 2.0), (20, 22, 3.0), (21, 22, 1.0), (22, 23, 1.0), (23, 24, 1.0)]
+    g = WeightedGraph(24, tuple(edges))
+    side = tuple(range(1, 21))
+    L = laplacian(g)
+    tracemalloc.start()
+    try:
+        terms = cut_identity_terms(g, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    minor = structure.principal_minor_direct
+    want = [minor(L, side), -1.0 * 2.0 * minor(L, side[1:]), -1.0 * 3.0 * minor(L, side[:-1]),
+            1.0 * 2.0 * 3.0 * minor(L, side[1:-1])]
+    assert all(same_float(x, y) for x, y in zip(terms, want)) and len(terms) == 4
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,15 +1,19 @@
-"""The benchmark's tooling against the package.
+"""The benchmark's tooling against the package, and the package's imports.
 
 The traced benchmark run replaces package functions at the module
 attributes listed in ``perfbench/tracing.py``; a name missing there crashes
 that run, so each one must resolve here too. The file is read, not
-imported, so nothing is written next to it.
+imported, so nothing is written next to it. An import that a module no
+longer uses would still satisfy that check, so every name a module imports
+must also be used in it (``__init__.py`` only re-exports).
 """
 
+import ast
 import importlib
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_every_traced_name_resolves_on_the_package():
@@ -18,3 +22,21 @@ def test_every_traced_name_resolves_on_the_package():
     points = [(module, attr) for module, attr, _ in tracing["WRAP_POINTS"]] + [tracing["RESIDUAL_POINT"]]
     missing = [(module, attr) for module, attr in points if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_imported_name_is_used_by_its_module():
+    modules = sorted((ROOT / "src" / "mesostab").glob("*.py"))
+    unused = {path.name: names for path in modules if path.name != "__init__.py" and (names := _unused_imports(path))}
+    assert len(modules) > 1 and unused == {}
