@@ -313,9 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing keeps no state, and each command looks its functions up when it runs.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, GuardLimitError, ValueError, OSError, OverflowError) as exc:

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .numerics import REL_TOL, has_zero_row_sums, require_symmetric
+from .numerics import REL_TOL, _worst_row_sum, require_symmetric
 
 
 class _EdgeArrays(NamedTuple):
@@ -247,8 +247,7 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
 
 def negated_adjacency_check(a: np.ndarray, rel: float = REL_TOL) -> bool:
     """True iff ``a`` has zero row sums, so the Laplacian of its graph is -a."""
-    require_symmetric(a)
-    return has_zero_row_sums(a, rel)
+    return _worst_row_sum(require_symmetric(a), rel) == 0
 
 
 def incidence_factorization(g: WeightedGraph) -> OrientedIncidence:

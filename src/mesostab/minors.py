@@ -1,9 +1,10 @@
 """Principal minors of Laplacians, computed directly and as forest sums.
 
 The combinatorial route sums edge-weight products over the family of forests
-in which every tree reaches exactly one vertex outside the selected set; the
-direct route is plain elimination. The two must agree, which the test suite
-checks against each other on random graphs.
+in which every tree reaches exactly one vertex outside the selected set S,
+enumerated as the spanning trees of the graph with the outside vertices
+merged into one; the direct route is plain elimination. The two must agree,
+which the test suite checks against each other on random graphs.
 """
 
 from __future__ import annotations
@@ -57,23 +58,21 @@ def principal_minor_direct(L: np.ndarray, s: Iterable[int]) -> float:
 
 def _forest_leaves(n: int, candidates: Sequence[tuple[int, int, int, float]],
                    special: Iterable[int], size: int) -> list[tuple[tuple[int, ...], float]]:
-    """Backtracking enumeration of marked forests.
+    """Backtracking enumeration of the spanning trees of a merged graph.
 
     Picks ``size`` edges from ``candidates`` (each (index, i, j, w), ordered
-    by index) so that the chosen edges form a forest in which no component
-    holds two of the vertices ``special`` lists. Returns (member indices,
-    weight product) pairs in lexicographic member order.
-
-    Both callers ask for as many edges as leave one tree per special vertex
-    on the vertices the candidates can join (all of them for a forest family,
-    side v1 for the cut decomposition). As no tree holds two special
-    vertices, each holds exactly one, so a leaf needs no test of its own.
+    by index) that form a forest once the vertices ``special`` lists are
+    merged into one. Returns (member indices, weight product) pairs in
+    lexicographic member order. Both callers ask for as many edges as span
+    the merged graph on the vertices the candidates can join (all of them
+    for a forest family, side v1 for the cut decomposition), so every tree
+    of a member holds exactly one special vertex.
     """
-    parent = list(range(n + 1))
-    compsize = [1] * (n + 1)
-    spec = [0] * (n + 1)
-    for v in special:
-        spec[v] = 1
+    special = set(special)
+    root = min(special, default=0)
+    parent = [root if v in special else v for v in range(n + 1)]
+    # an edge between two special vertices is a loop of the merged graph
+    candidates = [c for c in candidates if c[1] not in special or c[2] not in special]
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -88,24 +87,15 @@ def _forest_leaves(n: int, candidates: Sequence[tuple[int, int, int, float]],
         if chosen == size:
             leaves.append((tuple(path), prod))
             return
-        limit = m - (size - chosen) + 1
-        for t in range(pos, limit):
+        for t in range(pos, m - (size - chosen) + 1):
             idx, i, j, w = candidates[t]
             ri, rj = find(i), find(j)
             if ri == rj:
-                continue  # would close a cycle
-            if spec[ri] + spec[rj] > 1:
-                continue  # would trap two outside vertices in one tree
-            if compsize[ri] < compsize[rj]:
-                ri, rj = rj, ri
+                continue  # would close a cycle of the merged graph
             parent[rj] = ri
-            compsize[ri] += compsize[rj]
-            spec[ri] += spec[rj]
             path.append(idx)
             descend(t + 1, chosen + 1, prod * w)
             path.pop()
-            spec[ri] -= spec[rj]
-            compsize[ri] -= compsize[rj]
             parent[rj] = rj
 
     descend(0, 0, 1.0)

@@ -49,15 +49,17 @@ def require_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def has_zero_row_sums(a: np.ndarray, rel: float = REL_TOL) -> bool:
-    a = np.asarray(a, dtype=float)
-    return bool(np.max(np.abs(a.sum(axis=1)), initial=0.0) <= scaled_tolerance(a, rel))
+def _worst_row_sum(a: np.ndarray, rel: float) -> int:
+    """1-based row whose sum is farthest from zero (an overflowing sum is inf),
+    or 0 when every row sum counts as zero."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.abs(a.sum(axis=1))
+    return 0 if np.max(sums, initial=0.0) <= scaled_tolerance(a, rel) else int(np.argmax(sums)) + 1
 
 
 def require_zero_row_sums(a: np.ndarray, rel: float = REL_TOL) -> np.ndarray:
     a = require_square(a)
-    if not has_zero_row_sums(a, rel):
-        worst = int(np.argmax(np.abs(a.sum(axis=1)))) + 1
+    if worst := _worst_row_sum(a, rel):
         raise ValueError(f"matrix does not have zero row sums (row {worst})")
     return a
 

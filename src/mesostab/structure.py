@@ -122,11 +122,11 @@ def _neighbours(g: WeightedGraph) -> list[list[tuple[int, int, float]]]:
 
 
 def _tee_family(g: WeightedGraph, v1: tuple[int, ...], b: tuple[int, ...]) -> list[frozenset[int]]:
-    """Forests inside side 1 that partition it into one tree per ``b`` vertex.
+    """Forests inside side 1 that partition it into one tree per ``b`` vertex:
+    the spanning trees of side 1 with ``b`` merged into one vertex.
 
     Isolated vertices count as singleton trees, so the forests have exactly
-    |v1| - |b| edges, hence |b| trees, and every tree contains exactly one
-    vertex of ``b``.
+    |v1| - |b| edges, hence |b| trees.
     """
     v1set = set(v1)
     candidates = [(idx, i, j, w) for idx, i, j, w in g.simple_edges() if i in v1set and j in v1set]

@@ -17,7 +17,9 @@ set. The Kuramoto phase condition and coupling components are
 checked against the graphs they used to be read from: the coupling graph
 signed by phase, and the coupling graph itself. The constructor's per-edge
 check is held to the array validator it replaced, which found the first
-bad edge from masks and a stable sort of pair keys.
+bad edge from masks and a stable sort of pair keys. The forest enumerator,
+which merges the outside vertices into one, is held bit for bit to the
+search it replaced, which counted the outside vertices of every class.
 """
 
 from __future__ import annotations
@@ -266,6 +268,53 @@ def brute_force_forest_family(g: WeightedGraph, s):
         if acyclic and all(len(c & outside) == 1 for c in comps):
             family.append(combo)
     return family
+
+
+def marked_forest_leaves(n, candidates, special, size):
+    """The forest enumerator before it merged the outside vertices: a
+    backtracking search over ``candidates`` ((index, i, j, w), by index) that
+    keeps a count of ``special`` vertices per class and skips an edge that
+    closes a cycle or would put two special vertices in one tree, with union
+    by size and its undo. Returns (member indices, weight product) pairs in
+    lexicographic member order."""
+    parent = list(range(n + 1))
+    compsize = [1] * (n + 1)
+    spec = [0] * (n + 1)
+    for v in special:
+        spec[v] = 1
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    m = len(candidates)
+    leaves = []
+    path = []
+
+    def descend(pos, chosen, prod):
+        if chosen == size:
+            leaves.append((tuple(path), prod))
+            return
+        for t in range(pos, m - (size - chosen) + 1):
+            idx, i, j, w = candidates[t]
+            ri, rj = find(i), find(j)
+            if ri == rj or spec[ri] + spec[rj] > 1:
+                continue
+            if compsize[ri] < compsize[rj]:
+                ri, rj = rj, ri
+            parent[rj] = ri
+            compsize[ri] += compsize[rj]
+            spec[ri] += spec[rj]
+            path.append(idx)
+            descend(t + 1, chosen + 1, prod * w)
+            path.pop()
+            spec[ri] -= spec[rj]
+            compsize[ri] -= compsize[rj]
+            parent[rj] = rj
+
+    descend(0, 0, 1.0)
+    return leaves
 
 
 def greedy_components(g: WeightedGraph):

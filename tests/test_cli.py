@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,16 @@ class TestAnalyzeMatrix:
         path.write_text(text)
         assert main(["analyze-matrix", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags", [[], ["-W", "error::RuntimeWarning"]])
+    def test_overflowing_row_sums_print_only_the_error(self, tmp_path, flags):
+        path = tmp_path / "huge.csv"
+        path.write_text("1e308,1e308\n1e308,1e308\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, *flags, "-m", "mesostab.cli", "analyze-matrix", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: matrix does not have zero row sums (row 1)\n")
 
     def test_parse_error_names_line(self, capsys, tmp_path):
         path = tmp_path / "broken.csv"
@@ -294,6 +308,59 @@ class TestOverflow:
         monkeypatch.setattr(cli, "cut_identity_terms", lambda g, side: [1e308, 1e308])
         code, err = self.run(capsys, tmp_path, "3 1\n1 2 1.0\n", ["verify-identity", "--v1", "1"])
         assert (code, err) == (2, "error: cut identity on side V1={1} overflows: the residual is not finite\n")
+
+
+class TestParserReuse:
+    """One parser, built at import, serves every call in a process."""
+
+    def calls(self, tmp_path, c_matrix, triangle_file, two_node_file):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("0.0 0.1\n")
+        calls = [["--tol=0", "analyze-matrix", str(c_matrix)]]
+        for fmt in ("text", "json"):
+            calls += [
+                ["--format", fmt, "analyze-matrix", str(c_matrix)],
+                ["--format", fmt, "--nmax", "3", "analyze-graph", str(triangle_file)],
+                ["--format", fmt, "kuramoto", str(two_node_file)],
+                ["--format", fmt, "kuramoto", str(two_node_file), "--seed-phases", str(seeds)],
+                ["--format", fmt, "verify-identity", str(triangle_file)],
+                ["--format", fmt, "--tol", "1e-6", "verify-identity", str(triangle_file), "--v1", "1,3"],
+                ["--format", fmt, "self-test"],
+                ["--format", fmt, "analyze-graph", str(tmp_path / "missing.txt")],
+            ]
+        return calls
+
+    @staticmethod
+    def run(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        # text output ends with the wall time of the call
+        return code, re.sub(r"elapsed: \d+\.\d ms", "elapsed", captured.out), captured.err
+
+    def test_calls_match_calls_on_fresh_parsers(self, capsys, monkeypatch, tmp_path, c_matrix, triangle_file,
+                                                two_node_file):
+        calls = self.calls(tmp_path, c_matrix, triangle_file, two_node_file)
+        reused = [self.run(capsys, argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            fresh.append(self.run(capsys, argv))
+        assert reused == fresh
+        assert reused[0][0] == ("exit", 2) and "argument --tol:" in reused[0][2]
+        assert [code for code, _, _ in reused[1:]] == [1, 0, 0, 0, 0, 0, 0, 2] * 2
+
+    def test_patch_made_after_a_call_applies_to_the_next(self, capsys, monkeypatch, triangle_file):
+        assert main(["--format", "json", "analyze-graph", str(triangle_file)]) == 0
+        parsed = []
+        parse = cli.parse_edge_list
+        monkeypatch.setattr("mesostab.cli.parse_edge_list", lambda text: parsed.append(text) or parse(text))
+        assert main(["--format", "json", "analyze-graph", str(triangle_file)]) == 0
+        assert main(["--format", "json", "verify-identity", str(triangle_file)]) == 0
+        assert parsed == [triangle_file.read_text()] * 2
+        capsys.readouterr()
 
 
 class TestTextOutput:

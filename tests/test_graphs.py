@@ -23,6 +23,7 @@ from mesostab import (
     laplacian,
     negated_adjacency_check,
 )
+from mesostab.numerics import require_zero_row_sums
 
 INTRO_ADJACENCY = np.array([
     [0.0, 0.5, 0.0, -3.0],
@@ -170,6 +171,13 @@ class TestLaplacian:
         g = coates_graph(INTRO_ADJACENCY)
         assert negated_adjacency_check(-laplacian(g))
         assert not negated_adjacency_check(np.eye(2))
+
+    def test_overflowing_row_sums_are_nonzero_without_a_warning(self):
+        # the suite turns RuntimeWarning into an error, so a leaked overflow warning fails here
+        a = np.full((2, 2), 1e308)
+        assert not negated_adjacency_check(a)
+        with pytest.raises(ValueError, match=r"^matrix does not have zero row sums \(row 1\)$"):
+            require_zero_row_sums(a)
 
 
 class TestIncidence:

@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_forest_family, brute_force_spanning_trees, random_signed_graph
+from helpers import brute_force_forest_family, brute_force_spanning_trees, marked_forest_leaves, random_signed_graph
 from mesostab import (
     EdgeSubset,
     WeightedGraph,
@@ -144,6 +146,60 @@ class TestForestFamily:
 
 def complete_graph(n):
     return WeightedGraph(n, tuple((i, j, 1.0) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+
+
+@st.composite
+def enumeration_cases(draw):
+    """A graph of at most 32 edges (a tree, a star, a path, a dense or a
+    random graph, relabelled), a vertex set S and a marker set inside S."""
+    shape = draw(st.sampled_from(["tree", "star", "path", "dense", "random"]))
+    if shape == "dense":
+        n = draw(st.integers(1, 9))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))[:32]
+    elif shape == "random":
+        n = draw(st.integers(1, 12))
+        every = list(itertools.combinations(range(1, n + 1), 2))
+        pairs = draw(st.lists(st.sampled_from(every), unique=True, max_size=32)) if every else []
+    else:
+        n = draw(st.integers(1, 33))
+        if shape == "tree":
+            pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+        elif shape == "star":
+            pairs = [(1, v) for v in range(2, n + 1)]
+        else:
+            pairs = [(v, v + 1) for v in range(1, n)]
+    label = [0] + draw(st.permutations(range(1, n + 1)))
+    weights = draw(st.lists(st.floats(0.25, 4.0), min_size=len(pairs), max_size=len(pairs)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(pairs), max_size=len(pairs)))
+    g = WeightedGraph(n, tuple((label[i], label[j], x * w) for (i, j), x, w in zip(pairs, signs, weights)))
+    s = tuple(v for v in range(1, n + 1) if draw(st.booleans()))
+    marker = tuple(v for v in s if draw(st.booleans()))
+    return g, s, marker
+
+
+@settings(max_examples=100, deadline=None)
+@given(enumeration_cases())
+def test_merged_enumerator_matches_marked_oracle_bit_for_bit(case):
+    # Both call shapes: a forest family (every edge, the vertices outside S
+    # special) and a cut decomposition's inside forests (edges inside S, a
+    # marker set special).
+    g, s, marker = case
+    side = set(s)
+    inside = [e for e in g.simple_edges() if e[1] in side and e[2] in side]
+    shapes = ((list(g.simple_edges()), set(g.vertices) - side, len(s)), (inside, marker, len(s) - len(marker)))
+    # By the all-minors matrix-tree theorem on unit weights, the member count
+    # is the minor of the candidates' Laplacian on the non-special rows.
+    for candidates, special, _ in shapes:
+        unit = np.zeros((g.n + 1, g.n + 1))
+        for _, i, j, _ in candidates:
+            unit[[i, j], [i, j]] += 1.0
+            unit[[i, j], [j, i]] -= 1.0
+        rows = sorted(side - set(special))
+        assume(np.linalg.det(unit[np.ix_(rows, rows)]) <= 5000)
+    for candidates, special, size in shapes:
+        got = minors._forest_leaves(g.n, candidates, special, size)
+        expected = marked_forest_leaves(g.n, candidates, special, size)
+        assert [(m, p.hex()) for m, p in got] == [(m, p.hex()) for m, p in expected]
 
 
 class TestFamilyCheck:

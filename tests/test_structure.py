@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    brute_force_forest_family,
     brute_force_has_cycle,
     brute_force_negative_cut,
+    marked_forest_leaves,
     random_positive_graph,
     random_signed_graph,
 )
@@ -146,6 +148,22 @@ class TestCutDecomposition:
             else:
                 expected = {frozenset()}
             assert {k.members for k in fam.union} == expected
+
+    def test_hosts_whose_edges_mostly_join_outside_vertices(self):
+        # A star centred at 1 with a pendant path 2-10-11: for these sides most
+        # edges join two vertices outside v1 minus c, which the enumerator
+        # merges into one vertex.
+        edges = tuple((1, v, 0.5 + v) for v in range(2, 10)) + ((2, 10, -1.5), (10, 11, 2.0))
+        g = WeightedGraph(11, edges)
+        for v1, c in [((2, 10), ()), ((2, 10, 11), (10,)), ((1, 2), (1,)), ((3,), ()), ((3, 4, 5), (4,))]:
+            fam = cut_decomposition(g, v1, c)
+            rest = sorted(set(v1) - set(c))
+            assert [k.sorted_members() for k in fam.union] == (brute_force_forest_family(g, rest) if rest else [()])
+            side = set(v1)
+            inside = [e for e in g.simple_edges() if e[1] in side and e[2] in side]
+            for marker, members in fam.tee.items():
+                expected = marked_forest_leaves(g.n, inside, marker, len(v1) - len(marker))
+                assert [k.sorted_members() for k in members] == [m for m, _ in expected]
 
     def test_rejects_bad_subsets(self):
         g = WeightedGraph(3, ((1, 2, 1.0), (2, 3, 1.0)))
