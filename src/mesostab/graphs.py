@@ -100,6 +100,23 @@ class WeightedGraph:
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         return _edge_tuples(self, slice(None))
 
+    @cached_property
+    def _positive_forest(self) -> tuple[np.ndarray, np.ndarray]:
+        """Classes of the positive-edge subgraph and its spanning forest, built on first read.
+
+        Each vertex's class label (the smallest vertex of its class, 0-based)
+        and the forest's edge indices, ascending: the forest a union-find
+        keeps when it takes the positive edges in index order. Cached, so the
+        spanning forest and the negative cut of one graph share one build.
+        """
+        idx, i, j, w = _simple_columns(self)
+        positive = w > 0
+        labels, forest = _index_forest(self.n, i[positive], j[positive])
+        forest = idx[positive][forest]
+        labels.flags.writeable = False
+        forest.flags.writeable = False
+        return labels, forest
+
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)

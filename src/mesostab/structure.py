@@ -22,11 +22,8 @@ from .graphs import (
     WeightedGraph,
     _degrees,
     _edge_forest,
-    _edge_tuples,
-    _index_forest,
     _simple_columns,
     _vertex_subset,
-    cut_edges,
     induced_lines,
     laplacian,
 )
@@ -40,19 +37,6 @@ CUT_GUARD = 20
 _SIDE_SWEEP_GUARD = 12
 
 
-def _positive_forest(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of the positive-edge subgraph of ``g`` and its spanning forest.
-
-    Returns each vertex's class label (the smallest vertex of its class,
-    0-based) and the forest's edge indices, ascending: the forest a
-    union-find keeps when it takes the positive edges in index order.
-    """
-    idx, i, j, w = _simple_columns(g)
-    positive = w > 0
-    labels, forest = _index_forest(g.n, i[positive], j[positive])
-    return labels, idx[positive][forest]
-
-
 def _positive_spanning_forest(g: WeightedGraph, components: Optional[list[frozenset[int]]] = None
                               ) -> Optional[EdgeSubset]:
     """Spanning forest of positive edges covering each required component.
@@ -60,7 +44,7 @@ def _positive_spanning_forest(g: WeightedGraph, components: Optional[list[frozen
     ``components`` defaults to the components of ``g`` itself; passing a
     coarser partition demands that positive edges alone span each part.
     """
-    labels, forest = _positive_forest(g)
+    labels, forest = g._positive_forest
     if components is None:
         # g's components are spanned iff no edge joins two positive classes
         _, i, j, _ = _simple_columns(g)
@@ -90,8 +74,8 @@ def find_negative_cut(g: WeightedGraph) -> Optional[tuple[int, ...]]:
     returned, ties broken lexicographically. Returns None when every
     component has a positive spanning tree.
     """
-    labels, _ = _positive_forest(g)
-    _, i, j, _ = _simple_columns(g)
+    labels, _ = g._positive_forest
+    _, i, j, w = _simple_columns(g)
     li, lj = labels[i], labels[j]
     leaving = li != lj
     if not leaving.any():
@@ -104,9 +88,10 @@ def find_negative_cut(g: WeightedGraph) -> Optional[tuple[int, ...]]:
     # A class's label is its smallest vertex, so among equal sizes the
     # smallest label is the lexicographically smallest vertex tuple.
     c = candidates[sizes == sizes.min()][0]
-    v1 = tuple((np.flatnonzero(labels == c) + 1).tolist())
-    crossing = _edge_tuples(g, cut_edges(g, v1).sorted_members())
-    if not crossing or any(w >= 0 for _, _, w in crossing):
+    inside = labels == c
+    v1 = tuple((np.flatnonzero(inside) + 1).tolist())
+    crossing = w[inside[i] != inside[j]]
+    if not crossing.size or (crossing >= 0).any():
         raise AssertionError(f"negative-cut search produced an invalid witness {v1}")
     return v1
 

@@ -2,9 +2,12 @@
 
 Two routes are provided: the exhaustive principal-minor sweep (exponential,
 guarded) and the cheap leading-minor certificate that is valid for symmetric
-matrices with zero row sums and maximal rank. The certificate tests the
-leading minors pivot by pivot on one Cholesky factorization; when it
-refuses, the matrix is classified by its eigenvalues so that the verdict
+matrices with zero row sums and maximal rank. The sweep takes the minors of
+each component of the matrix's graph on its own, the sum over components of
+2^{n_c} - 1 determinants: a minor spanning several components is a product
+of theirs, and the first violation lies inside one of them. The certificate
+tests the leading minors pivot by pivot on one Cholesky factorization; when
+it refuses, the matrix is classified by its eigenvalues so that the verdict
 kind stays meaningful.
 """
 
@@ -16,6 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .graphs import _index_forest
 from .numerics import (
     EIG_REL_TOL,
     REL_TOL,
@@ -164,51 +168,106 @@ def _minors(cc: np.ndarray, blocks: np.ndarray, rel: float):
     return dets[:at], tols[:at], ValueError(f"principal minor on S={{{subset}}} overflows")
 
 
+def _one_based(row: np.ndarray) -> tuple[int, ...]:
+    """The 1-based subset of a row of 0-based indices."""
+    return tuple(int(v) + 1 for v in row)
+
+
+def _order(subset: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Sweep order of a subset: size, then lexicographic."""
+    return len(subset), subset
+
+
+def _earliest(witness: Optional[MinorWitness], cc: np.ndarray, dets: np.ndarray,
+              bad: np.ndarray) -> Optional[MinorWitness]:
+    """The earlier of ``witness`` and the first subset of the chunk ``cc`` (0-based) that ``bad`` flags."""
+    if not bad.any():
+        return witness
+    at = int(np.argmax(bad))
+    found = MinorWitness(_one_based(cc[at]), float(dets[at]))
+    return found if witness is None or _order(found.subset) < _order(witness.subset) else witness
+
+
+def _decided(pos: Optional[MinorWitness], neg: Optional[MinorWitness], subset: tuple[int, ...]) -> bool:
+    """True once both sides are broken at subsets no later than ``subset``:
+    no subset after it can change the report."""
+    return pos is not None and neg is not None and max(_order(pos.subset), _order(neg.subset)) <= _order(subset)
+
+
 def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL) -> DefinitenessVerdict:
     """Classify by the full sweep over all nonempty principal minors.
 
     Positive semi-definite means every principal minor clears ``-tol`` where
     tol scales with the Hadamard bound of each submatrix. The witness is the
     first subset, sizes ascending then lexicographic, whose minor breaks the
-    positive side (or, failing that, the negative side). The sweep visits
-    the subsets in that order, in ``_principal_blocks`` chunks, and stops
-    once both sides are broken: the verdict is then indefinite with the
-    positive-side witness. It is refused above ``n_max`` since it takes at
-    most 2^n - 1 determinants. A subset whose determinant or tolerance
-    overflows is a ValueError naming it, unless the verdict comes first.
+    positive side (or, failing that, the negative side).
+
+    The matrix is block diagonal up to a permutation, one block per
+    component of its exactly nonzero off-diagonal entries, and each block is
+    swept on its own: the sum over blocks of 2^{n_c} - 1 determinants
+    instead of 2^n - 1. Every other principal minor is the
+    product of its blocks' minors, and its Hadamard bound the product of
+    theirs, so it adds no witness: if det < -rel * H on a subset spanning
+    several blocks, some factor has d_b < -rel * H_b, since every other
+    factor is at most its own bound (on the negative side, (-1)^k splits the
+    same way). That factor's subset is smaller, so it comes first, and
+    inside one block the submatrix, its determinant and its tolerance are
+    those of the whole-matrix sweep, bit for bit. Only the strict flags can
+    differ: blocks whose minors all clear their tolerances make the kind
+    definite even where a product of several blocks' minors would fall
+    within rel of its bound.
+
+    A block's subsets are visited in sweep order, in ``_principal_blocks``
+    chunks. Its sweep stops once both sides are broken, in this block or
+    another, at subsets before its next chunk: no later subset can change
+    the report. The smallest blocks go first, so that their cheap verdicts
+    can stop the large ones. It is refused above ``n_max``, which bounds n, not a
+    block's size. A subset whose determinant or tolerance overflows is a
+    ValueError naming the first such subset in sweep order, unless both
+    sides were broken at earlier subsets; a product of several blocks'
+    minors is never formed, so it cannot overflow.
     """
     L = require_symmetric(L)
     n = L.shape[0]
     _require_n_max(n, n_max, "exhaustive minor sweep")
-    first_pos_violation: Optional[MinorWitness] = None
-    first_neg_violation: Optional[MinorWitness] = None
+    labels, _ = _index_forest(n, *np.nonzero(np.triu(L != 0, 1)))
+    # Each label is the smallest vertex of its class, so the roots are the vertices labelled by themselves.
+    components = sorted((np.flatnonzero(labels == r) for r in np.flatnonzero(labels == np.arange(n))), key=len)
+    pos: Optional[MinorWitness] = None
+    neg: Optional[MinorWitness] = None
+    overflows: list[tuple[tuple[int, ...], ValueError]] = []
     all_pos_strict = True
     all_neg_strict = True
-    for k, cc, subs in _principal_blocks(L, n):
-        sign = -1.0 if k % 2 else 1.0
-        dets, tols, overflow = _minors(cc, subs, rel)
-        pos_bad = dets < -tols
-        neg_bad = sign * dets < -tols
-        if first_pos_violation is None and pos_bad.any():
-            at = int(np.argmax(pos_bad))
-            first_pos_violation = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
-        if first_neg_violation is None and neg_bad.any():
-            at = int(np.argmax(neg_bad))
-            first_neg_violation = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
-        if first_pos_violation is not None and first_neg_violation is not None:
-            return DefinitenessVerdict(INDEFINITE, eigen_rank(L), first_pos_violation)
-        if overflow is not None:
+    for verts in components:
+        for k, cc, subs in _principal_blocks(L[np.ix_(verts, verts)], len(verts)):
+            cc = verts[cc]
+            if _decided(pos, neg, _one_based(cc[0])):
+                break
+            sign = -1.0 if k % 2 else 1.0
+            dets, tols, overflow = _minors(cc, subs, rel)
+            pos = _earliest(pos, cc, dets, dets < -tols)
+            neg = _earliest(neg, cc, dets, sign * dets < -tols)
+            if overflow is not None:
+                overflows.append((_one_based(cc[len(dets)]), overflow))
+                break
+            if _decided(pos, neg, _one_based(cc[-1])):
+                break
+            if not (dets > tols).all():
+                all_pos_strict = False
+            if not (sign * dets > tols).all():
+                all_neg_strict = False
+    if overflows:
+        first, overflow = min(overflows, key=lambda o: _order(o[0]))
+        if not _decided(pos, neg, first):
             raise overflow
-        if not (dets > tols).all():
-            all_pos_strict = False
-        if not (sign * dets > tols).all():
-            all_neg_strict = False
     rank = eigen_rank(L)
-    if first_pos_violation is None:
+    if pos is None:
         kind = POSITIVE_DEFINITE if all_pos_strict else POSITIVE_SEMI_DEFINITE
         return DefinitenessVerdict(kind, rank)
-    kind = NEGATIVE_DEFINITE if all_neg_strict else NEGATIVE_SEMI_DEFINITE
-    return DefinitenessVerdict(kind, rank, first_pos_violation)
+    if neg is None:
+        kind = NEGATIVE_DEFINITE if all_neg_strict else NEGATIVE_SEMI_DEFINITE
+        return DefinitenessVerdict(kind, rank, pos)
+    return DefinitenessVerdict(INDEFINITE, rank, pos)
 
 
 def _leading_minor_refusal(L: np.ndarray, rel: float) -> tuple[int, bool]:

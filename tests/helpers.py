@@ -9,8 +9,9 @@ graph, a greedy dict union-find for components, the positive forest and the
 negative cut, the neighbour-dict walk for induced lines, the walk that
 validated one line, and the per-edge incidence build. The exhaustive
 minor sweep, the five-way check and the cut identity are checked against
-their one-shot forms: the sweep that stacks every subset of a size at once
-and runs to the end, the five-way check that takes one proper subset at a
+their one-shot forms: the sweep that takes every subset of the whole
+matrix, not block by block, stacks every subset of a size at once and runs
+to the end, the five-way check that takes one proper subset at a
 time with an elimination determinant and a one-block Cholesky test, and the
 identity that rescans the edges and recomputes every minor for each marker
 set. The Kuramoto phase condition and coupling components are
@@ -429,7 +430,8 @@ def loop_incidence(g: WeightedGraph):
 
 
 def unchunked_sweep(L, rel=REL_TOL):
-    """The exhaustive principal-minor sweep in one batch per subset size, run to the end."""
+    """The exhaustive principal-minor sweep over every subset of the whole matrix,
+    one batch per subset size, run to the end."""
     L = require_symmetric(L)
     n = L.shape[0]
     first_pos_violation: Optional[MinorWitness] = None

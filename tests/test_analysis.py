@@ -24,6 +24,20 @@ from mesostab.cli import _report_dict
 C_MATRIX = np.array([[0, 0, 1, -1], [0, -1, 1, 0], [1, 1, -2, 0], [-1, 0, 0, 1]], dtype=float)
 
 
+def test_analysis_builds_the_positive_forest_and_the_cut_once(monkeypatch):
+    # no positive spanning forest: the spanning test, the cut search and the
+    # report's cut edges share one positive forest and one crossing set
+    g = WeightedGraph(4, ((1, 2, 1.0), (1, 3, 1.0), (1, 4, -1.0)))
+    forests, cuts = [], []
+    index_forest, crossing = graphs._index_forest, analysis.cut_edges
+    monkeypatch.setattr(graphs, "_index_forest", lambda n, i, j: forests.append(n) or index_forest(n, i, j))
+    monkeypatch.setattr(analysis, "cut_edges", lambda g, v1: cuts.append(v1) or crossing(g, v1))
+    report = analyze_graph(g)
+    assert report.spanning_forest is None and report.negative_cut == (4,)
+    assert report.negative_cut_edges == ((1, 4, -1.0),)
+    assert forests == [4] and cuts == [(4,)]
+
+
 @pytest.mark.parametrize("a, n_max, certified, calls", [
     (-laplacian(WeightedGraph(3, ((1, 2, 1.0), (2, 3, 2.0)))), 20, True, 0),  # the certificate proves rank n-1
     (C_MATRIX, 20, False, 2),  # the certificate's fallback and the full sweep's rank

@@ -1,9 +1,13 @@
 """The exhaustive subset sweeps against their one-shot forms.
 
-The principal-minor sweep streams each subset size in chunks and stops at
-its verdict; the cut identity sums each side's crossing pools once, and
+The principal-minor sweep takes each block of a permuted block-diagonal
+matrix on its own, streams each subset size in chunks and stops at its
+verdict; the cut identity sums each side's crossing pools once, and
 its all-sides sweep fills the Laplacian minors of one graph once. Both must return
-exactly what the oracles in ``helpers`` return, floats bit for bit. The
+exactly what the oracles in ``helpers`` return, floats bit for bit, except
+that the sweep may call a block-diagonal matrix definite where the
+whole-matrix rule, judging products of blocks' minors, calls it
+semi-definite. The
 cut identity's closed-form crossing weights must also agree with the
 paper's forest-by-forest expansion. The five-way check walks the same
 chunks as the sweep and must return the report of its one-subset-at-a-time
@@ -11,6 +15,7 @@ form.
 """
 
 import itertools
+import json
 import math
 import struct
 import tracemalloc
@@ -31,6 +36,7 @@ from helpers import (
 )
 from mesostab import (
     GuardLimitError,
+    MinorWitness,
     WeightedGraph,
     check_equivalences,
     cut_identity_sweep,
@@ -41,7 +47,7 @@ from mesostab import (
     sylvester,
 )
 from mesostab.cli import main
-from mesostab.io import format_edge_list
+from mesostab.io import format_edge_list, format_matrix_csv
 from mesostab.selftest import random_signed_graph, random_zero_row_sum_matrix
 
 
@@ -126,6 +132,142 @@ def test_late_violation_is_found_past_the_first_chunk():
         with mock.patch.object(sylvester, "SWEEP_CHUNK", chunk):
             got = is_psd_full(a)
         assert got == want and same_float(got.witness.value, want.witness.value)
+
+
+BLOCK_KINDS = ("pd", "psd-deficient", "nsd", "indefinite", "singleton", "zero-row", "zero")
+
+
+def _block(rng, kind, k):
+    """A k x k symmetric block of one kind; singletons and zero rows are 1 x 1."""
+    if kind == "singleton":
+        return np.array([[float(rng.choice([-2.0, -0.5, 0.5, 3.0]))]])
+    if kind == "zero-row":
+        return np.zeros((1, 1))
+    if kind == "zero":
+        return np.zeros((k, k))
+    if kind == "indefinite":
+        a = rng.integers(-3, 4, size=(k, k)).astype(float)
+        return np.triu(a) + np.triu(a, 1).T
+    b = rng.normal(size=(k, k if kind == "pd" else int(rng.integers(0, k))))
+    return -(b @ b.T) if kind == "nsd" else b @ b.T
+
+
+def _block_diagonal(blocks, rng=None):
+    """The block-diagonal matrix of ``blocks``; given ``rng``, rows and columns in a random order."""
+    n = sum(len(b) for b in blocks)
+    a = np.zeros((n, n))
+    at = 0
+    for b in blocks:
+        a[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    perm = np.arange(n) if rng is None else rng.permutation(n)
+    return a[np.ix_(perm, perm)]
+
+
+@st.composite
+def block_diagonal_matrices(draw):
+    """Randomly permuted block-diagonal matrices of 1-4 positive definite,
+    rank-deficient PSD, NSD, indefinite, singleton and zero blocks (all of
+    them zero for the zero matrix), at most 10 rows in all."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(BLOCK_KINDS), min_size=1, max_size=4))
+    if draw(st.booleans()) and draw(st.booleans()):
+        kinds = ["zero"] * len(kinds)
+    sizes = [draw(st.integers(min_value=1, max_value=10 // len(kinds))) for _ in kinds]
+    return _block_diagonal([_block(rng, kind, k) for kind, k in zip(kinds, sizes)], rng)
+
+
+# A strictly signed minor of every block makes the per-block kind definite;
+# the whole-matrix rule may call a product of such minors within rel of its
+# bound semi-definite. No other kind may differ.
+DEFINITE_ONLY_PER_BLOCK = {("positive-semi-definite", "positive-definite"),
+                           ("negative-semi-definite", "negative-definite")}
+
+
+@settings(max_examples=400, deadline=None)
+@given(block_diagonal_matrices(), st.sampled_from([1, 3, 7, sylvester.SWEEP_CHUNK]))
+def test_block_diagonal_sweep_matches_whole_matrix_oracle(a, chunk):
+    want = unchunked_sweep(a)
+    with mock.patch.object(sylvester, "SWEEP_CHUNK", chunk):
+        got = is_psd_full(a)
+    assert got.rank_estimate == want.rank_estimate
+    assert got.kind == want.kind or (want.kind, got.kind) in DEFINITE_ONLY_PER_BLOCK
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert got.witness.subset == want.witness.subset
+        assert same_float(got.witness.value, want.witness.value)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_near_singular_blocks_stay_definite(sign):
+    # each block's determinant is 1e-6 of its Hadamard bound, above rel = 1e-9;
+    # the product of the two (1e-12 of its bound) is not, so the whole-matrix
+    # rule called the matrix semi-definite
+    eps = 1e-6
+    block = sign * np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]])
+    a = _block_diagonal([block, block], np.random.default_rng(7))
+    want = unchunked_sweep(a)
+    got = is_psd_full(a)
+    assert (want.kind, got.kind) in DEFINITE_ONLY_PER_BLOCK
+    assert got.rank_estimate == want.rank_estimate == 4
+    assert got.witness == want.witness
+
+
+def _counted_blocks(monkeypatch) -> list:
+    """Sizes of the chunks of principal blocks that the sweep forms."""
+    formed = []
+    blocks = sylvester._principal_blocks
+
+    def counted(L, k_max):
+        for k, cc, subs in blocks(L, k_max):
+            formed.append(len(subs))
+            yield k, cc, subs
+
+    monkeypatch.setattr(sylvester, "_principal_blocks", counted)
+    return formed
+
+
+def test_two_block_sweep_takes_each_blocks_minors_only(monkeypatch):
+    rng = np.random.default_rng(19)
+    parts = [laplacian(random_positive_graph(rng, 10, 20)) for _ in range(2)]
+    a = _block_diagonal(parts, rng)
+    formed = _counted_blocks(monkeypatch)
+    verdict = is_psd_full(a)
+    assert (verdict.kind, verdict.rank_estimate, verdict.witness) == ("positive-semi-definite", 18, None)
+    assert sum(formed) == 2 * (2**10 - 1)  # not 2^20 - 1
+
+
+@pytest.mark.parametrize("pair_first, formed_chunks", [(True, [2, 1, 10]), (False, [2, 1, 10, 45])])
+def test_block_sweep_stops_once_both_sides_are_broken_anywhere(monkeypatch, pair_first, formed_chunks):
+    # the pair's negative diagonal breaks the positive side, the 10-block's
+    # positive diagonal the negative side: the 10-block stops after its
+    # singletons, or, where the pair's witness comes later, at its first pair
+    pair = -laplacian(WeightedGraph(2, ((1, 2, 1.0),)))
+    big = laplacian(random_positive_graph(np.random.default_rng(23), 10, 20))
+    a = _block_diagonal([pair, big] if pair_first else [big, pair])
+    formed = _counted_blocks(monkeypatch)
+    got = is_psd_full(a)
+    want = unchunked_sweep(a)
+    assert got.kind == want.kind == "indefinite"
+    assert got.witness == want.witness == MinorWitness((1,) if pair_first else (11,), -1.0)
+    assert formed == formed_chunks
+
+
+def test_sweep_guard_applies_to_n_not_to_a_block(tmp_path, capsys):
+    rng = np.random.default_rng(29)
+    parts = [laplacian(random_positive_graph(rng, k, 2 * k)) for k in (10, 11)]
+    path = tmp_path / "two_blocks.csv"
+    path.write_text(format_matrix_csv(-_block_diagonal(parts, rng)))
+    main(["--format", "json", "analyze-matrix", str(path)])
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["full_sweep"] is None
+    assert "exhaustive minor sweep skipped: n=21 exceeds n_max=20" in report["notes"]
+    main(["--format", "json", "--nmax", "21", "analyze-matrix", str(path)])
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["full_sweep"]["kind"] == "positive-semi-definite"
+    assert report["full_sweep"]["rank_estimate"] == 19
+    assert not any("skipped" in note for note in report["notes"])
 
 
 @st.composite

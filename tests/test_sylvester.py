@@ -105,6 +105,30 @@ class TestFullSweep:
         assert verdict.kind == "indefinite" and verdict.witness.subset == (1, 2)
         assert not report.proper_minors_positive
 
+    def test_first_overflow_in_sweep_order_is_named_across_blocks(self):
+        # block {1,2,3} first breaks the positive side at size 3; block {4,5,6},
+        # swept after it, overflows at {4,5}, which comes first in sweep order
+        a = np.zeros((6, 6))
+        a[:3, :3] = [[1.0, -0.6, -0.6], [-0.6, 1.0, -0.6], [-0.6, -0.6, 1.0]]
+        a[3:, 3:] = 1e200 * np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=r"principal minor on S=\{4,5\} overflows"):
+            warnings.simplefilter("error", RuntimeWarning)
+            is_psd_full(a)
+        # without the overflowing block, {1,2,3} is the witness
+        verdict = is_psd_full(a[:3, :3])
+        assert verdict.kind == "indefinite" and verdict.witness.subset == (1, 2, 3)
+
+    def test_product_across_blocks_is_never_formed(self):
+        # each 1e200 block is finite; their product on {1,2} overflows, which
+        # the whole-matrix sweep reported as "principal minor on S={1,2} overflows"
+        a = np.diag([1e200, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            verdict = is_psd_full(a)
+        assert verdict == DefinitenessVerdict("positive-definite", 2)
+        with np.errstate(over="ignore"):
+            assert np.linalg.det(a) == np.inf
+
     def test_witness_is_first_in_scan_order(self):
         verdict = is_psd_full(C_MATRIX)
         assert verdict.witness.subset == (2,)
