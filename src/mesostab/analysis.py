@@ -124,4 +124,6 @@ def analyze_graph(g: WeightedGraph, *, rel: float = REL_TOL, n_max: int = DEFAUL
     The candidate matrix is the negated Laplacian, whose graph is ``g``
     itself up to loops, so the structural scans run on the given edges.
     """
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
     return analyze_matrix(-laplacian(g), rel=rel, n_max=n_max)

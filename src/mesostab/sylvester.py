@@ -2,13 +2,13 @@
 
 Two routes are provided: the exhaustive principal-minor sweep (exponential,
 guarded) and the cheap leading-minor certificate that is valid for symmetric
-matrices with zero row sums and maximal rank. The sweep takes the minors of
-each component of the matrix's graph on its own, the sum over components of
-2^{n_c} - 1 determinants: a minor spanning several components is a product
-of theirs, and the first violation lies inside one of them. The certificate
-tests the leading minors pivot by pivot on one Cholesky factorization; when
-it refuses, the matrix is classified by its eigenvalues so that the verdict
-kind stays meaningful.
+matrices with zero row sums and maximal rank. The sweep takes only the
+minors of subsets inside one component of the matrix's graph, the sum over
+components of 2^{n_c} - 1 determinants: a minor spanning several
+components is a product of theirs, and the first violation lies inside one
+of them. The certificate tests the leading minors pivot by pivot on one
+Cholesky factorization; when it refuses, the matrix is classified by its
+eigenvalues so that the verdict kind stays meaningful.
 """
 
 from __future__ import annotations
@@ -98,26 +98,35 @@ def eigen_rank(L: np.ndarray) -> int:
     return _classify_by_eigenvalues(L)[1]
 
 
-def _extend_combinations(prev: np.ndarray, n: int) -> np.ndarray:
-    """The (k+1)-subsets of range(n) from the k-subsets ``prev`` (one per row).
+def _extend_combinations(prev: np.ndarray, order: np.ndarray, place: np.ndarray,
+                         later: np.ndarray) -> np.ndarray:
+    """The (k+1)-subsets from the k-subsets ``prev`` (one per row, k >= 1).
 
-    Each row is extended by every index above its last one, so lexicographic
-    rows in give lexicographic rows out: ``itertools.combinations`` order.
+    ``order`` lists the vertices by class, ascending within each, ``place``
+    is each vertex's position in it, and ``later`` counts the vertices after
+    it in its class. Each row is extended by every later vertex of its last
+    one's class, so lexicographic rows in give lexicographic rows out.
     """
-    last = prev[:, -1] if prev.shape[1] else np.full(len(prev), -1, dtype=np.intp)
-    counts = n - 1 - last
+    last = prev[:, -1]
+    counts = later[last]
     rows = np.repeat(np.arange(len(prev)), counts)
     starts = np.repeat(np.cumsum(counts) - counts, counts)
-    new = np.repeat(last + 1, counts) + (np.arange(rows.size) - starts)
+    new = order[np.repeat(place[last] + 1, counts) + (np.arange(rows.size) - starts)]
     return np.column_stack((prev[rows], new))
 
 
-def _combinations(n: int, k_max: int):
-    """``(k, combos)`` for k = 1..k_max: the k-subsets of range(n), one per row, in
-    ``itertools.combinations`` order."""
-    combos = np.empty((1, 0), dtype=np.intp)
+def _combinations(n: int, k_max: int, labels: Optional[np.ndarray] = None):
+    """``(k, combos)`` for k = 1..k_max: the k-subsets of range(n) inside one class of
+    ``labels`` (default: one class), one per row, in ``itertools.combinations`` order."""
+    labels = np.zeros(n, dtype=np.intp) if labels is None else labels
+    order = np.argsort(labels, kind="stable")
+    place = np.empty(n, dtype=np.intp)
+    place[order] = np.arange(n)
+    later = np.searchsorted(labels[order], labels, side="right") - 1 - place
+    combos = np.arange(n, dtype=np.intp)[:, None]
     for k in range(1, k_max + 1):
-        combos = _extend_combinations(combos, n)
+        if k > 1:
+            combos = _extend_combinations(combos, order, place, later)
         yield k, combos
 
 
@@ -126,10 +135,11 @@ def _require_n_max(n: int, n_max: int, sweep: str) -> None:
         raise GuardLimitError(f"{sweep} refused: n={n} exceeds n_max={n_max} (override n_max to force)")
 
 
-def _principal_blocks(L: np.ndarray, k_max: int):
-    """Chunks ``(k, subsets, blocks)`` of the principal submatrices of sizes 1..k_max in sweep
-    order (sizes ascending, then 0-based subsets lexicographic), at most ``SWEEP_CHUNK`` each."""
-    for k, combos in _combinations(L.shape[0], k_max):
+def _principal_blocks(L: np.ndarray, k_max: int, labels: Optional[np.ndarray] = None):
+    """Chunks ``(k, subsets, blocks)`` of the principal submatrices of sizes 1..k_max on the
+    subsets inside one class of ``labels`` (default: one class) in sweep order (sizes
+    ascending, then 0-based subsets lexicographic), at most ``SWEEP_CHUNK`` each."""
+    for k, combos in _combinations(L.shape[0], k_max, labels):
         for start in range(0, len(combos), SWEEP_CHUNK):
             cc = combos[start:start + SWEEP_CHUNK]
             yield k, cc, L[cc[:, :, None], cc[:, None, :]]
@@ -168,106 +178,67 @@ def _minors(cc: np.ndarray, blocks: np.ndarray, rel: float):
     return dets[:at], tols[:at], ValueError(f"principal minor on S={{{subset}}} overflows")
 
 
-def _one_based(row: np.ndarray) -> tuple[int, ...]:
-    """The 1-based subset of a row of 0-based indices."""
-    return tuple(int(v) + 1 for v in row)
-
-
-def _order(subset: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Sweep order of a subset: size, then lexicographic."""
-    return len(subset), subset
-
-
-def _earliest(witness: Optional[MinorWitness], cc: np.ndarray, dets: np.ndarray,
-              bad: np.ndarray) -> Optional[MinorWitness]:
-    """The earlier of ``witness`` and the first subset of the chunk ``cc`` (0-based) that ``bad`` flags."""
-    if not bad.any():
-        return witness
-    at = int(np.argmax(bad))
-    found = MinorWitness(_one_based(cc[at]), float(dets[at]))
-    return found if witness is None or _order(found.subset) < _order(witness.subset) else witness
-
-
-def _decided(pos: Optional[MinorWitness], neg: Optional[MinorWitness], subset: tuple[int, ...]) -> bool:
-    """True once both sides are broken at subsets no later than ``subset``:
-    no subset after it can change the report."""
-    return pos is not None and neg is not None and max(_order(pos.subset), _order(neg.subset)) <= _order(subset)
-
-
 def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL) -> DefinitenessVerdict:
-    """Classify by the full sweep over all nonempty principal minors.
+    """Classify by the full sweep over the nonempty principal minors.
 
     Positive semi-definite means every principal minor clears ``-tol`` where
     tol scales with the Hadamard bound of each submatrix. The witness is the
     first subset, sizes ascending then lexicographic, whose minor breaks the
     positive side (or, failing that, the negative side).
 
-    The matrix is block diagonal up to a permutation, one block per
-    component of its exactly nonzero off-diagonal entries, and each block is
-    swept on its own: the sum over blocks of 2^{n_c} - 1 determinants
-    instead of 2^n - 1. Every other principal minor is the
-    product of its blocks' minors, and its Hadamard bound the product of
+    Only the subsets inside one component of the matrix's exactly nonzero
+    off-diagonal entries are swept: the sum over components of 2^{n_c} - 1
+    determinants instead of 2^n - 1. Any other principal minor is the
+    product of its components' minors, and its Hadamard bound the product of
     theirs, so it adds no witness: if det < -rel * H on a subset spanning
-    several blocks, some factor has d_b < -rel * H_b, since every other
+    several components, some factor has d_c < -rel * H_c, since every other
     factor is at most its own bound (on the negative side, (-1)^k splits the
-    same way). That factor's subset is smaller, so it comes first, and
-    inside one block the submatrix, its determinant and its tolerance are
-    those of the whole-matrix sweep, bit for bit. Only the strict flags can
-    differ: blocks whose minors all clear their tolerances make the kind
-    definite even where a product of several blocks' minors would fall
-    within rel of its bound.
+    same way). That factor's subset is smaller, so it comes first, with the
+    submatrix, determinant and tolerance of the whole-matrix sweep, bit for
+    bit. Only the strict flags can differ: components whose minors all clear
+    their tolerances make the kind definite even where a product of several
+    components' minors would fall within rel of its bound.
 
-    A block's subsets are visited in sweep order, in ``_principal_blocks``
-    chunks. Its sweep stops once both sides are broken, in this block or
-    another, at subsets before its next chunk: no later subset can change
-    the report. The smallest blocks go first, so that their cheap verdicts
-    can stop the large ones. It is refused above ``n_max``, which bounds n, not a
-    block's size. A subset whose determinant or tolerance overflows is a
-    ValueError naming the first such subset in sweep order, unless both
-    sides were broken at earlier subsets; a product of several blocks'
-    minors is never formed, so it cannot overflow.
+    The subsets are visited in sweep order, in ``_principal_blocks`` chunks,
+    and the sweep stops once both sides are broken: the verdict is then
+    indefinite with the positive-side witness. It is refused above
+    ``n_max``. A subset whose determinant or tolerance overflows is a
+    ValueError naming it, unless the verdict comes first; a product of
+    several components' minors is never formed, so it cannot overflow.
     """
     L = require_symmetric(L)
     n = L.shape[0]
     _require_n_max(n, n_max, "exhaustive minor sweep")
     labels, _ = _index_forest(n, *np.nonzero(np.triu(L != 0, 1)))
-    # Each label is the smallest vertex of its class, so the roots are the vertices labelled by themselves.
-    components = sorted((np.flatnonzero(labels == r) for r in np.flatnonzero(labels == np.arange(n))), key=len)
-    pos: Optional[MinorWitness] = None
-    neg: Optional[MinorWitness] = None
-    overflows: list[tuple[tuple[int, ...], ValueError]] = []
+    first_pos_violation: Optional[MinorWitness] = None
+    first_neg_violation: Optional[MinorWitness] = None
     all_pos_strict = True
     all_neg_strict = True
-    for verts in components:
-        for k, cc, subs in _principal_blocks(L[np.ix_(verts, verts)], len(verts)):
-            cc = verts[cc]
-            if _decided(pos, neg, _one_based(cc[0])):
-                break
-            sign = -1.0 if k % 2 else 1.0
-            dets, tols, overflow = _minors(cc, subs, rel)
-            pos = _earliest(pos, cc, dets, dets < -tols)
-            neg = _earliest(neg, cc, dets, sign * dets < -tols)
-            if overflow is not None:
-                overflows.append((_one_based(cc[len(dets)]), overflow))
-                break
-            if _decided(pos, neg, _one_based(cc[-1])):
-                break
-            if not (dets > tols).all():
-                all_pos_strict = False
-            if not (sign * dets > tols).all():
-                all_neg_strict = False
-    if overflows:
-        first, overflow = min(overflows, key=lambda o: _order(o[0]))
-        if not _decided(pos, neg, first):
+    for k, cc, subs in _principal_blocks(L, n, labels):
+        sign = -1.0 if k % 2 else 1.0
+        dets, tols, overflow = _minors(cc, subs, rel)
+        pos_bad = dets < -tols
+        neg_bad = sign * dets < -tols
+        if first_pos_violation is None and pos_bad.any():
+            at = int(np.argmax(pos_bad))
+            first_pos_violation = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
+        if first_neg_violation is None and neg_bad.any():
+            at = int(np.argmax(neg_bad))
+            first_neg_violation = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
+        if first_pos_violation is not None and first_neg_violation is not None:
+            return DefinitenessVerdict(INDEFINITE, eigen_rank(L), first_pos_violation)
+        if overflow is not None:
             raise overflow
+        if not (dets > tols).all():
+            all_pos_strict = False
+        if not (sign * dets > tols).all():
+            all_neg_strict = False
     rank = eigen_rank(L)
-    if pos is None:
+    if first_pos_violation is None:
         kind = POSITIVE_DEFINITE if all_pos_strict else POSITIVE_SEMI_DEFINITE
         return DefinitenessVerdict(kind, rank)
-    if neg is None:
-        kind = NEGATIVE_DEFINITE if all_neg_strict else NEGATIVE_SEMI_DEFINITE
-        return DefinitenessVerdict(kind, rank, pos)
-    return DefinitenessVerdict(INDEFINITE, rank, pos)
+    kind = NEGATIVE_DEFINITE if all_neg_strict else NEGATIVE_SEMI_DEFINITE
+    return DefinitenessVerdict(kind, rank, first_pos_violation)
 
 
 def _leading_minor_refusal(L: np.ndarray, rel: float) -> tuple[int, bool]:

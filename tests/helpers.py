@@ -10,8 +10,8 @@ negative cut, the neighbour-dict walk for induced lines, the walk that
 validated one line, and the per-edge incidence build. The exhaustive
 minor sweep, the five-way check and the cut identity are checked against
 their one-shot forms: the sweep that takes every subset of the whole
-matrix, not block by block, stacks every subset of a size at once and runs
-to the end, the five-way check that takes one proper subset at a
+matrix, not only those inside one block, stacks every subset of a size at
+once and runs to the end, the five-way check that takes one proper subset at a
 time with an elimination determinant and a one-block Cholesky test, and the
 identity that rescans the edges and recomputes every minor for each marker
 set. The Kuramoto phase condition and coupling components are

@@ -143,6 +143,13 @@ class TestAnalyzeGraph:
         assert code == 1
         assert payload["report"]["negative_cut"]["vertices"] == [3]
 
+    def test_graph_without_vertices_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        assert main(["--format", "json", "analyze-graph", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: graph has no vertices\n")
+
 
 class TestKuramotoCommand:
     def test_lock_passes_and_lists_tree(self, capsys, two_node_file, tmp_path):
