@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -32,7 +31,7 @@ from .kuramoto import (
     spanning_phase_condition,
 )
 from .numerics import REL_TOL, GuardLimitError
-from .structure import cut_identity_sweep, cut_identity_terms
+from .structure import cut_identity_sweep, cut_identity_terms, identity_check
 from .sylvester import DEFAULT_N_MAX, DefinitenessVerdict, MinorWitness, VectorWitness
 
 SCHEMA = "mesostab/1"
@@ -194,27 +193,6 @@ def _cmd_kuramoto(args) -> int:
     return EXIT_OK if report.verdict == PASSES else EXIT_OBSTRUCTION
 
 
-def _residual_and_scale(side: tuple[int, ...], terms: list[float]) -> tuple[float, float]:
-    """The fsum of a side's identity terms and their summed magnitudes.
-
-    Raises OverflowError naming the side when a term, the residual or the
-    scale is not finite: an infinite scale would make any residual pass.
-    """
-    def overflow(what: str) -> OverflowError:
-        return OverflowError(f"cut identity on side V1={{{','.join(map(str, side))}}} overflows: {what} is not finite")
-
-    if not all(map(math.isfinite, terms)):
-        raise overflow("a term")
-    try:
-        residual = math.fsum(terms)
-    except OverflowError:
-        raise overflow("the residual") from None
-    scale = sum(abs(t) for t in terms)
-    if not math.isfinite(scale):
-        raise overflow("the term scale")
-    return residual, scale
-
-
 def _cmd_verify_identity(args) -> int:
     path = Path(args.input)
     g = parse_edge_list(path.read_text())
@@ -236,18 +214,10 @@ def _cmd_verify_identity(args) -> int:
     results = []
     ok = True
     for side, terms in checks:
-        residual, scale = _residual_and_scale(side, terms)
-        tolerance = args.tol * max(1.0, scale)
-        within = abs(residual) <= tolerance
-        ok = ok and within
-        worst = max(worst, abs(residual))
-        results.append({
-            "v1": list(side),
-            "residual": residual,
-            "term_scale": scale,
-            "tolerance": tolerance,
-            "within_tolerance": within,
-        })
+        check = identity_check(side, terms, args.tol)
+        ok = ok and check.within_tolerance
+        worst = max(worst, abs(check.residual))
+        results.append({"v1": list(side), **check._asdict()})
     payload = _base_payload("verify-identity", path, args)
     payload["identity"] = {"checks": results, "max_residual": worst, "all_within_tolerance": ok}
     _emit(payload, args, time.perf_counter() - started)

@@ -23,7 +23,7 @@ from .graphs import (
     _edge_forest,
     _vertex_subset,
 )
-from .numerics import GuardLimitError, det_bareiss, det_partial_pivot, require_square
+from .numerics import GuardLimitError, det_bareiss, det_partial_pivot, partial_pivot_dets, require_square
 
 # Family members per array-forest check; their disjoint union then spans at most
 # CHECK_SLICE * 64 vertices, as the enumeration is guarded at 32 edges.
@@ -48,9 +48,42 @@ class ForestFamily:
         return math.fsum(k.weight_product() for k in self.members)
 
 
-def principal_minor_direct(L: np.ndarray, s: Iterable[int]) -> float:
-    """det of the principal submatrix selecting rows and columns ``s`` (1-based)."""
+def _subset_stack(s, n: int) -> np.ndarray:
+    """``s`` as a 2-D array of 0-based subsets, one per row; each row of
+    ``s`` must list distinct 1-based vertices in ascending order."""
+    try:
+        rows = np.asarray(s)
+    except ValueError:
+        raise ValueError("stacked subsets must all have the same size (got ragged rows)") from None
+    if rows.ndim != 2:
+        raise ValueError(f"stacked subsets must form a 2-D array, got {rows.ndim} dimensions")
+    if rows.dtype.kind not in "iu":
+        raise ValueError(f"stacked subsets must hold integer vertex labels, got dtype {rows.dtype}")
+    if rows.shape[1] == 0:
+        raise ValueError("vertex subset must be non-empty")
+    outside = (rows < 1) | (rows > n)
+    if outside.any():
+        r, c = np.argwhere(outside)[0]
+        raise ValueError(f"vertex {rows[r, c]} outside 1..{n} (subset row {r})")
+    steps = np.diff(rows, axis=1)
+    if (steps <= 0).any():
+        r, c = np.argwhere(steps <= 0)[0]
+        cause = f"repeats vertex {rows[r, c]}" if steps[r, c] == 0 else "is not in ascending order"
+        raise ValueError(f"subset row {r} {rows[r].tolist()} {cause}")
+    return rows - 1
+
+
+def principal_minor_direct(L: np.ndarray, s: Iterable[int]) -> float | np.ndarray:
+    """det of the principal submatrix selecting rows and columns ``s`` (1-based).
+
+    Given a 2-D integer array whose rows are equal-size subsets, each
+    ascending and 1-based, returns an array with one determinant per row,
+    all from one stacked elimination.
+    """
     L = require_square(L)
+    if isinstance(s, np.ndarray) and s.ndim != 1 or isinstance(s, (list, tuple)) and any(map(np.ndim, s)):
+        idx = _subset_stack(s, L.shape[0])
+        return partial_pivot_dets(L[idx[:, :, None], idx[:, None, :]])
     subset = _vertex_subset(s, L.shape[0], allow_empty=False)
     idx = [v - 1 for v in subset]
     return det_partial_pivot(L[np.ix_(idx, idx)])
@@ -99,6 +132,9 @@ def _forest_leaves(n: int, candidates: Sequence[tuple[int, int, int, float]],
             parent[rj] = rj
 
     descend(0, 0, 1.0)
+    # descend's closure holds descend itself; without this the cycle keeps
+    # the search's lists alive until the cyclic collector reaches them
+    del descend
     return leaves
 
 

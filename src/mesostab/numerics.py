@@ -6,6 +6,8 @@ rescaling of the input matrix.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Relative coefficient used by all data-scaled tolerances.
@@ -64,41 +66,55 @@ def require_zero_row_sums(a: np.ndarray, rel: float = REL_TOL) -> np.ndarray:
     return a
 
 
-def det_partial_pivot(a: np.ndarray) -> float:
-    """Determinant by Gaussian elimination with partial pivoting.
+def partial_pivot_dets(a: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square matrices, shape ``(..., k, k)``, by
+    Gaussian elimination with partial pivoting, one shape ``(...)`` array.
 
-    Returns exactly 0.0 when a pivot column is entirely zero, so integer
-    matrices with singular leading blocks give exact zero minors.
+    Each matrix goes through the float operations, in the order, that a
+    loop over its rows of Python floats would take, so each determinant is
+    that loop's, bit for bit. The first strictly larger |entry| of the
+    pivot column wins, so a NaN never wins and a NaN diagonal keeps its
+    row. A matrix whose pivot column is entirely zero gets exactly 0.0, so
+    integer matrices with singular blocks give exact zero minors, and takes
+    no further steps. A row is updated only where its multiplier is
+    nonzero, which keeps signed zeros and never forms 0 · inf. Overflow
+    gives inf or NaN silently, as with Python floats.
     """
+    m = np.array(a, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+    shape, n = m.shape[:-2], m.shape[-1]
+    m = m.reshape(math.prod(shape), n, n)
+    at = np.arange(len(m))
+    det = np.ones(len(m))
+    done = np.zeros(len(m), dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            # fmax drops a NaN entry below every |entry|; fmin lifts a NaN diagonal above them
+            col = np.fmax(np.abs(m[:, k:, k]), -1.0)
+            col[:, 0] = np.fmin(np.abs(m[:, k, k]), np.inf)
+            piv = col.argmax(axis=1)
+            done |= col[at, piv] == 0.0
+            swap = np.flatnonzero(piv)
+            if swap.size:
+                top = m[swap, k].copy()
+                m[swap, k] = m[swap, k + piv[swap]]
+                m[swap, k + piv[swap]] = top
+                det[swap] = -det[swap]
+            pivot = m[:, k, k]
+            det = np.where(done, 0.0, det * pivot)
+            f = m[:, k + 1:, k, None] / pivot[:, None, None]
+            rest = m[:, k + 1:, k + 1:]
+            np.subtract(rest, f * m[:, k, None, k + 1:], out=rest, where=f != 0.0)
+    return det.reshape(shape)
+
+
+def det_partial_pivot(a: np.ndarray) -> float:
+    """Determinant of one square matrix by ``partial_pivot_dets``."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if n == 0:
-        return 1.0
-    rows = [list(map(float, r)) for r in m]
-    det = 1.0
-    for k in range(n):
-        piv, best = k, abs(rows[k][k])
-        for r in range(k + 1, n):
-            v = abs(rows[r][k])
-            if v > best:
-                piv, best = r, v
-        if best == 0.0:
-            return 0.0
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det = -det
-        pivot = rows[k][k]
-        det *= pivot
-        for r in range(k + 1, n):
-            f = rows[r][k] / pivot
-            if f != 0.0:
-                rk = rows[k]
-                rr = rows[r]
-                for c in range(k + 1, n):
-                    rr[c] -= f * rk[c]
-    return det
+    return float(partial_pivot_dets(m))
 
 
 def det_bareiss(a) -> int:

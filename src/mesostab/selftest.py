@@ -16,7 +16,7 @@ import numpy as np
 from .graphs import WeightedGraph, laplacian
 from .kuramoto import KuramotoSystem, find_equilibrium, jacobian
 from .minors import principal_minor_combinatorial, principal_minor_direct
-from .structure import cut_identity_sweep, positive_spanning_tree
+from .structure import cut_identity_sweep, identity_check, positive_spanning_tree
 from .sylvester import check_equivalences
 
 
@@ -58,8 +58,8 @@ def _check_minor_oracle(rng, rounds: int) -> int:
         g = random_signed_graph(rng, n, int(rng.integers(n - 1, min(10, n * (n - 1) // 2) + 1)))
         L = laplacian(g)
         for size in range(1, n):
-            for s in itertools.combinations(range(1, n + 1), size):
-                direct = principal_minor_direct(L, s)
+            subsets = np.array(list(itertools.combinations(range(1, n + 1), size)))
+            for s, direct in zip(subsets.tolist(), principal_minor_direct(L, subsets).tolist()):
                 forest = principal_minor_combinatorial(g, s)
                 if abs(forest - direct) > max(1e-12, 1e-9 * abs(direct)):
                     failures += 1
@@ -80,9 +80,8 @@ def _check_identity(rng, rounds: int) -> int:
     for _ in range(rounds):
         n = int(rng.integers(3, 6))
         g = random_signed_graph(rng, n, int(rng.integers(n - 1, n + 3)))
-        for _, terms in cut_identity_sweep(g):
-            scale = sum(abs(t) for t in terms)
-            if abs(math.fsum(terms)) > 1e-9 * max(1.0, scale):
+        for side, terms in cut_identity_sweep(g):
+            if not identity_check(side, terms).within_tolerance:
                 failures += 1
     return failures
 

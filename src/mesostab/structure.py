@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .graphs import (
 )
 from .minors import _family_leaves, _forest_leaves, principal_minor_direct
 from .numerics import REL_TOL, GuardLimitError
-from .sylvester import _combinations
+from .sylvester import SWEEP_CHUNK, _combinations
 
 CUT_GUARD = 20
 
@@ -195,6 +195,25 @@ def _marker_sets(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(masks), np.concatenate(signs)
 
 
+def _take_minors(L: np.ndarray, labels: np.ndarray, keys: list[int], minors: dict[int, float]) -> None:
+    """Enter the Laplacian minor of each rest in ``keys`` into ``minors``.
+
+    A rest is a bitmask of places, and place p names vertex ``labels[p]``
+    (1-based). The rests of one size take one ``principal_minor_direct``
+    stack of at most ``SWEEP_CHUNK`` rows at a time, larger rests first, so
+    a side's own minor comes before those of its marker sets.
+    """
+    keys = np.array(keys, dtype=np.int64)
+    places = np.arange(len(labels))
+    sizes = sum(((keys >> p) & 1 for p in range(len(labels))), np.zeros_like(keys))
+    for size in sorted(set(sizes.tolist()), reverse=True):
+        of_size = keys[sizes == size]
+        for start in range(0, len(of_size), SWEEP_CHUNK):
+            chunk = of_size[start:start + SWEEP_CHUNK]
+            held = np.nonzero((chunk[:, None] >> places) & 1)[1].reshape(len(chunk), size)
+            minors.update(zip(chunk.tolist(), principal_minor_direct(L, labels[held]).tolist()))
+
+
 def _identity_terms(g: WeightedGraph, vertices: np.ndarray, groups: Iterable[np.ndarray]
                     ) -> Iterator[tuple[tuple[int, ...], list[float]]]:
     """``(side, terms)`` of the cut identity for each side of ``groups``, one group at a time.
@@ -212,15 +231,15 @@ def _identity_terms(g: WeightedGraph, vertices: np.ndarray, groups: Iterable[np.
     doubling runs only over the columns whose s_v is nonzero on some side of
     the group: a marker set holding another column weighs zero on every
     side, so it is never formed, and that column stays in every rest. Each
-    distinct rest of a nonzero weight takes its minor once per call, in
-    first-use order.
+    distinct rest of a nonzero weight takes its minor once per call, the
+    group's new rests by ``_take_minors``.
     """
     L = laplacian(g)
     neighbours = _neighbours(g)
-    labels = (np.asarray(vertices) + 1).tolist()
+    labels = np.asarray(vertices) + 1
     minors = {0: 1.0}  # by rest bitmask; the empty minor is 1
     for rows in groups:
-        sides = [tuple(labels[p] for p in row) for row in rows.tolist()]
+        sides = [tuple(row) for row in labels[rows].tolist()]
         s = np.empty(rows.shape)
         for r, side in enumerate(sides):
             inside = set(side)
@@ -243,9 +262,7 @@ def _identity_terms(g: WeightedGraph, vertices: np.ndarray, groups: Iterable[np.
             kept_rows, kept_cols = np.nonzero(weights)
             keys, first, inverse = np.unique(rests[kept_rows, masks[kept_cols]], return_index=True,
                                              return_inverse=True)
-            for key in keys[np.argsort(first)].tolist():
-                if key not in minors:
-                    minors[key] = principal_minor_direct(L, [v for p, v in enumerate(labels) if key >> p & 1])
+            _take_minors(L, labels, [key for key in keys[np.argsort(first)].tolist() if key not in minors], minors)
             rest_minors = np.array([minors[key] for key in keys.tolist()])[inverse]
             values = (signs[kept_cols] * weights[kept_rows, kept_cols] * rest_minors).tolist()
         ends = np.cumsum(np.bincount(kept_rows, minlength=len(rows))).tolist()
@@ -293,6 +310,39 @@ def cut_identity_sweep(g: WeightedGraph) -> Iterator[tuple[tuple[int, ...], list
 def verify_cut_identity(g: WeightedGraph, v1: Iterable[int]) -> float:
     """Residual of the alternating cut identity; zero up to roundoff."""
     return math.fsum(cut_identity_terms(g, v1))
+
+
+class IdentityCheck(NamedTuple):
+    """The cut identity checked on one side: the ``math.fsum`` of its terms,
+    the sum of their magnitudes in term order, and whether the residual is
+    within ``tolerance = tol · max(1, term_scale)``."""
+
+    residual: float
+    term_scale: float
+    tolerance: float
+    within_tolerance: bool
+
+
+def identity_check(side: tuple[int, ...], terms: list[float], tol: float = REL_TOL) -> IdentityCheck:
+    """Check one side's cut identity terms against ``tol``.
+
+    Raises OverflowError naming the side when a term, the residual or the
+    scale is not finite: an infinite scale would make any residual pass.
+    """
+    def overflow(what: str) -> OverflowError:
+        return OverflowError(f"cut identity on side V1={{{','.join(map(str, side))}}} overflows: {what} is not finite")
+
+    if not all(map(math.isfinite, terms)):
+        raise overflow("a term")
+    try:
+        residual = math.fsum(terms)
+    except OverflowError:
+        raise overflow("the residual") from None
+    scale = sum(abs(t) for t in terms)
+    if not math.isfinite(scale):
+        raise overflow("the term scale")
+    tolerance = tol * max(1.0, scale)
+    return IdentityCheck(residual, scale, tolerance, abs(residual) <= tolerance)
 
 
 @dataclass(frozen=True)

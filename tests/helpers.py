@@ -21,6 +21,8 @@ check is held to the array validator it replaced, which found the first
 bad edge from masks and a stable sort of pair keys. The forest enumerator,
 which merges the outside vertices into one, is held bit for bit to the
 search it replaced, which counted the outside vertices of every class.
+The stacked partial-pivot elimination is held bit for bit to the
+one-matrix loop on Python floats that it replaced.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from mesostab import (
     graph_components,
     laplacian,
     positive_spanning_tree,
-    principal_minor_direct,
     wrap_to_pi,
 )
 from mesostab.graphs import _vertex_subset
@@ -60,6 +61,37 @@ from mesostab.sylvester import (
     eigen_rank,
 )
 from mesostab.selftest import random_signed_graph, random_zero_row_sum_matrix
+
+
+def looped_det_partial_pivot(a) -> float:
+    """Determinant by Gaussian elimination with partial pivoting, one
+    Python float at a time: the first strictly larger |entry| wins the
+    pivot, an all-zero pivot column returns exactly 0.0, and a row is
+    updated only where its multiplier is nonzero."""
+    rows = [list(map(float, r)) for r in np.asarray(a, dtype=float)]
+    n = len(rows)
+    det = 1.0
+    for k in range(n):
+        piv, best = k, abs(rows[k][k])
+        for r in range(k + 1, n):
+            v = abs(rows[r][k])
+            if v > best:
+                piv, best = r, v
+        if best == 0.0:
+            return 0.0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        pivot = rows[k][k]
+        det *= pivot
+        for r in range(k + 1, n):
+            f = rows[r][k] / pivot
+            if f != 0.0:
+                rk = rows[k]
+                rr = rows[r]
+                for c in range(k + 1, n):
+                    rr[c] -= f * rk[c]
+    return det
 
 
 def random_positive_graph(rng, n, m, connected=True):
@@ -519,7 +551,8 @@ def rescanned_closed_weight(g: WeightedGraph, v1: frozenset, b: tuple) -> float:
 
 
 def rescanned_cut_identity_terms(g: WeightedGraph, v1):
-    """Cut identity terms with the crossing edges rescanned and the minor recomputed per marker set."""
+    """Cut identity terms with the crossing edges rescanned and the minor
+    recomputed per marker set by the looped elimination."""
     side = _vertex_subset(v1, g.n, allow_empty=False)
     v1set = frozenset(side)
     L = laplacian(g)
@@ -529,8 +562,8 @@ def rescanned_cut_identity_terms(g: WeightedGraph, v1):
             weight = rescanned_closed_weight(g, v1set, c)
             if weight == 0.0:
                 continue
-            rest = tuple(sorted(set(side) - set(c)))
-            minor = principal_minor_direct(L, rest) if rest else 1.0
+            rest = [v - 1 for v in side if v not in c]
+            minor = looped_det_partial_pivot(L[np.ix_(rest, rest)])
             terms.append((-1.0) ** r * weight * minor)
     return terms
 

@@ -1,5 +1,6 @@
 """Principal minors: elimination vs forest sums vs incidence minors."""
 
+import gc
 import itertools
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_forest_family, brute_force_spanning_trees, marked_forest_leaves, random_signed_graph
+from helpers import (
+    brute_force_forest_family,
+    brute_force_spanning_trees,
+    looped_det_partial_pivot,
+    marked_forest_leaves,
+    random_signed_graph,
+)
 from mesostab import (
     EdgeSubset,
     WeightedGraph,
@@ -23,7 +30,7 @@ from mesostab import (
     principal_minor_direct,
 )
 from mesostab import minors
-from mesostab.numerics import GuardLimitError
+from mesostab.numerics import GuardLimitError, det_partial_pivot, partial_pivot_dets
 
 C_MATRIX = np.array([
     [0.0, 0.0, 1.0, -1.0],
@@ -61,6 +68,91 @@ class TestDirectMinor:
             idx = [v - 1 for v in s]
             expected = np.linalg.det(a[np.ix_(idx, idx)])
             assert principal_minor_direct(a, s) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def elimination_stacks(draw):
+    """A shape and a stack of equal-size square matrices of it: principal
+    blocks of signed-graph Laplacians, singular integer matrices, entries of
+    tied magnitude, a column of (signed) zeros, entries near 1e200 and
+    1e308 whose products and updates reach inf and NaN, and NaN or inf
+    entries."""
+    shape = draw(st.sampled_from(["laplacian", "singular", "ties", "zero-column", "huge", "nonfinite"]))
+    k = draw(st.integers(min_value=1 if shape == "zero-column" else 0, max_value=7))
+    count = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if shape == "laplacian":
+        n = k + int(rng.integers(0, 3))
+        L = laplacian(random_signed_graph(rng, n, int(rng.integers(0, n * (n - 1) // 2 + 1)), connected=False)) \
+            if n else np.zeros((0, 0))
+        picks = [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(count)]
+        return shape, np.array([L[np.ix_(p, p)] for p in picks]).reshape(count, k, k)
+    if shape == "singular":
+        inner = int(rng.integers(0, k)) if k else 0
+        b = rng.integers(-2, 3, size=(count, k, inner))
+        c = rng.integers(-2, 3, size=(count, inner, k))
+        return shape, (b @ c).astype(float)
+    palette = {
+        "ties": [-2.0, -1.0, 0.0, 1.0, 2.0],
+        "zero-column": [-3.0, -1.0, 0.0, -0.0, 1.0, 2.0],
+        "huge": [-1e308, -1e200, -3e199, -1.0, 0.0, 1e-200, 1.0, 5e199, 1e200, 1e308],
+        "nonfinite": [np.nan, np.inf, -np.inf, -1.0, 0.0, -0.0, 1.0, 2.0],
+    }[shape]
+    stack = rng.choice(palette, size=(count, k, k))
+    if shape == "zero-column":
+        stack[:, :, int(rng.integers(0, k))] = rng.choice([0.0, -0.0], size=(count, k))
+    return shape, stack
+
+
+def same_bits(got, want) -> bool:
+    return bool((np.asarray(got).view(np.int64) == np.asarray(want).view(np.int64)).all())
+
+
+@settings(max_examples=400, deadline=None)
+@given(elimination_stacks())
+def test_stacked_elimination_matches_the_looped_one_bit_for_bit(case):
+    shape, stack = case
+    want = np.array([looped_det_partial_pivot(a) for a in stack])
+    got = partial_pivot_dets(stack)
+    assert got.shape == want.shape and same_bits(got, want)
+    assert same_bits([det_partial_pivot(a) for a in stack], want)
+    assert same_bits(partial_pivot_dets(np.stack([stack, stack[::-1]])), [want, want[::-1]])
+    if shape == "zero-column":
+        assert same_bits(got, np.zeros(len(stack)))  # 0.0, never -0.0
+
+
+def test_overflow_reaches_inf_and_nan_as_the_looped_elimination_does():
+    inf_det = [[1e200, 1e200, 1.0], [-1e200, 1e200, 1.0], [1.0, 1e200, 1e200]]
+    nan_det = [[1e308, 1e308, 1e308], [-1e308, 1e308, -1e308], [1e308, -1e308, 1.0]]
+    got = partial_pivot_dets(np.array([inf_det, nan_det]))
+    assert got[0] == np.inf and np.isnan(got[1])
+    assert same_bits(got, [looped_det_partial_pivot(inf_det), looped_det_partial_pivot(nan_det)])
+
+
+def test_stacked_subsets_give_the_one_subset_minors():
+    L = laplacian(random_signed_graph(np.random.default_rng(41), 7, 12))
+    for k in range(1, 8):
+        rows = np.array(list(itertools.combinations(range(1, 8), k)))
+        got = principal_minor_direct(L, rows)
+        assert same_bits(got, [principal_minor_direct(L, row) for row in rows.tolist()])
+    assert same_bits(principal_minor_direct(L, [[1, 2], [2, 5]]), principal_minor_direct(L, np.array([[1, 2], [2, 5]])))
+    assert principal_minor_direct(L, np.zeros((0, 3), dtype=int)).shape == (0,)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (np.array([[1, 2], [3, 8]]), r"vertex 8 outside 1\.\.7 \(subset row 1\)"),
+    (np.array([[0, 2]]), r"vertex 0 outside 1\.\.7"),
+    (np.array([[1, 3], [4, 2]]), r"subset row 1 \[4, 2\] is not in ascending order"),
+    (np.array([[1, 3], [5, 5]]), r"subset row 1 \[5, 5\] repeats vertex 5"),
+    ([[1, 2], [3]], "same size"),
+    (np.ones((2, 2, 2), dtype=int), "2-D array, got 3 dimensions"),
+    (np.array([[1.0, 2.0]]), "integer vertex labels, got dtype float64"),
+    (np.zeros((2, 0), dtype=int), "non-empty"),
+])
+def test_stacked_subset_errors_name_their_cause(rows, message):
+    L = laplacian(random_signed_graph(np.random.default_rng(43), 7, 10))
+    with pytest.raises(ValueError, match=message):
+        principal_minor_direct(L, rows)
 
 
 class TestForestFamily:
@@ -109,6 +201,22 @@ class TestForestFamily:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             enumerate_forest_family(triangle(), [])
+
+    def test_search_leaves_no_reference_cycle(self):
+        # a cycle would keep each search's leaves alive until the cyclic collector ran
+        g = random_signed_graph(np.random.default_rng(47), 7, 12)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            fam = enumerate_forest_family(g, [1, 2, 3, 4])
+            value = principal_minor_combinatorial(g, [1, 2, 3, 4])
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert len(fam) > 0 and value != 0.0
+        assert garbage == []
 
     def test_matches_brute_force_for_every_subset(self):
         # Connected and disconnected graphs, loops placed anywhere in the edge list.

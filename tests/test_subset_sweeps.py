@@ -390,16 +390,19 @@ def test_cut_identity_terms_survive_an_equal_graph():
     assert first == again == rescanned_cut_identity_terms(g, (1, 2, 3))
 
 
-def _counted_minors(monkeypatch) -> list:
-    calls = []
+def _counted_minors(monkeypatch) -> tuple[list, list]:
+    """The subsets whose minors the cut identity takes, one per row of its
+    stacked calls, and the row count of each call."""
+    rows, stacks = [], []
     direct = structure.principal_minor_direct
 
     def counted(L, s):
-        calls.append(tuple(s))
+        rows.extend(map(tuple, s.tolist()))
+        stacks.append(len(s))
         return direct(L, s)
 
     monkeypatch.setattr(structure, "principal_minor_direct", counted)
-    return calls
+    return rows, stacks
 
 
 def test_all_sides_sweep_computes_each_minor_once(tmp_path, capsys, monkeypatch):
@@ -407,11 +410,12 @@ def test_all_sides_sweep_computes_each_minor_once(tmp_path, capsys, monkeypatch)
     g = random_signed_graph(np.random.default_rng(11), n, 2 * n)
     path = tmp_path / "g.txt"
     path.write_text(format_edge_list(g))
-    calls = _counted_minors(monkeypatch)
+    calls, stacks = _counted_minors(monkeypatch)
     assert main(["--format", "json", "verify-identity", str(path)]) == 0
     capsys.readouterr()
     assert len(calls) == 2**n - 2
     assert len(set(calls)) == len(calls)
+    assert len(stacks) == n - 1  # one stack per side size
 
 
 def test_one_side_computes_only_the_minors_of_its_nonzero_markers(monkeypatch):
@@ -419,9 +423,10 @@ def test_one_side_computes_only_the_minors_of_its_nonzero_markers(monkeypatch):
     n = 18
     g = WeightedGraph(n, tuple((v, v + 1, 1.0 + v / 10) for v in range(1, n)))
     side = tuple(range(1, 17))
-    calls = _counted_minors(monkeypatch)
+    calls, stacks = _counted_minors(monkeypatch)
     terms = cut_identity_terms(g, side)
     assert calls == [side, side[:-1]]
+    assert stacks == [1, 1]
     assert terms == rescanned_cut_identity_terms(g, side)
 
 
@@ -445,10 +450,35 @@ def test_one_side_builds_the_markers_of_its_crossing_vertices_only():
     assert all(same_float(x, y) for x, y in zip(terms, want)) and len(terms) == 4
 
 
+def test_one_side_with_sixteen_crossing_vertices_stacks_at_most_a_chunk(monkeypatch):
+    # every vertex of a 16-vertex path side crosses to one hub: 2^16 marker
+    # sets, each with its own rest; the 12,870 rests of size 8 alone take
+    # four stacks, and unchunked stacks peak at about 32 MiB
+    live = 16
+    edges = [(v, v + 1, 1.0 + v / 10) for v in range(1, live)]
+    edges += [(v, live + 1, 0.5 + v / 7) for v in range(1, live + 1)]
+    g = WeightedGraph(live + 1, tuple(edges))
+    side = tuple(range(1, live + 1))
+    stacks = []
+    direct = structure.principal_minor_direct
+    monkeypatch.setattr(structure, "principal_minor_direct", lambda L, s: stacks.append(len(s)) or direct(L, s))
+    tracemalloc.start()
+    try:
+        terms = cut_identity_terms(g, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    assert max(stacks) == structure.SWEEP_CHUNK and sum(stacks) == 2**live - 1
+    assert len(terms) == 2**live and same_float(terms[0], direct(laplacian(g), side))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(identity_graphs(), st.integers(min_value=0, max_value=2).map(lambda n: WeightedGraph(n, ()))))
-def test_sweep_matches_per_side_terms(g):
-    swept = list(cut_identity_sweep(g))
+@given(st.one_of(identity_graphs(), st.integers(min_value=0, max_value=2).map(lambda n: WeightedGraph(n, ()))),
+       st.sampled_from([1, 3, sylvester.SWEEP_CHUNK]))
+def test_sweep_matches_per_side_terms(g, chunk):
+    with mock.patch.object(structure, "SWEEP_CHUNK", chunk):
+        swept = list(cut_identity_sweep(g))
     sides = [side for size in range(1, g.n) for side in itertools.combinations(range(1, g.n + 1), size)]
     assert [side for side, _ in swept] == sides
     for side, terms in swept:
@@ -463,7 +493,7 @@ def test_eleven_vertex_sweep_matches_the_oracle_and_takes_each_minor_once(monkey
     rng = np.random.default_rng(2011)
     base = random_signed_graph(rng, 10, 22)
     g = WeightedGraph(11, tuple((i, j, w * float(rng.uniform(0.5, 1.5))) for i, j, w in base.edges))
-    calls = _counted_minors(monkeypatch)
+    calls, _ = _counted_minors(monkeypatch)
     swept = dict(cut_identity_sweep(g))
     assert len(calls) == len(set(calls)) == 2**11 - 2
     sides = list(swept)
