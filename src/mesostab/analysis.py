@@ -25,7 +25,6 @@ from .structure import (
 from .sylvester import (
     DEFAULT_N_MAX,
     DefinitenessVerdict,
-    certifies_psd_max_rank,
     is_psd_full,
     is_psd_zero_row_sum,
 )
@@ -75,7 +74,7 @@ def analyze_matrix(a: np.ndarray, *, rel: float = REL_TOL, n_max: int = DEFAULT_
     certificate = is_psd_zero_row_sum(neg, rel)
     n = a.shape[0]
     notes: list[str] = []
-    certified = certifies_psd_max_rank(certificate, n)
+    certified = certificate.certified
 
     full: Optional[DefinitenessVerdict] = None
     if not certified:
@@ -101,7 +100,10 @@ def analyze_matrix(a: np.ndarray, *, rel: float = REL_TOL, n_max: int = DEFAULT_
         verdict = FAILS
     else:
         verdict = DEGENERATE
-        notes.append("zero eigenvalue is not simple; the maximal-rank certificate does not apply")
+        if rank < n - 1:
+            notes.append("zero eigenvalue is not simple; the maximal-rank certificate does not apply")
+        else:
+            notes.append("the leading-minor certificate was refused within tolerance and no obstruction was found")
 
     return StabilityReport(
         verdict=verdict,
@@ -121,8 +123,10 @@ def analyze_matrix(a: np.ndarray, *, rel: float = REL_TOL, n_max: int = DEFAULT_
 def analyze_graph(g: WeightedGraph, *, rel: float = REL_TOL, n_max: int = DEFAULT_N_MAX) -> StabilityReport:
     """Pipeline entry point for a weighted graph.
 
-    The candidate matrix is the negated Laplacian, whose graph is ``g``
-    itself up to loops, so the structural scans run on the given edges.
+    The candidate matrix is the negated Laplacian. The structural scans run
+    on its graph, ``coates_graph(-laplacian(g))``. That graph holds the given
+    non-loop edges as (i, j) with i < j in row-major order, renumbered
+    accordingly; its loops carry the diagonal, and the scans ignore loops.
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")

@@ -71,8 +71,11 @@ def partial_pivot_dets(a: np.ndarray) -> np.ndarray:
     Gaussian elimination with partial pivoting, one shape ``(...)`` array.
 
     Each matrix goes through the float operations, in the order, that a
-    loop over its rows of Python floats would take, so each determinant is
-    that loop's, bit for bit. The first strictly larger |entry| of the
+    loop over its rows of Python floats would take, so every determinant
+    that is not NaN is that loop's, bit for bit, and a determinant is NaN
+    exactly where the loop's is. A NaN's sign may differ: where a product
+    meets two NaNs, IEEE 754 lets it return either, and numpy and Python
+    pick different ones. The first strictly larger |entry| of the
     pivot column wins, so a NaN never wins and a NaN diagonal keeps its
     row. A matrix whose pivot column is entirely zero gets exactly 0.0, so
     integer matrices with singular blocks give exact zero minors, and takes

@@ -372,6 +372,11 @@ def _require_induced_line(g: WeightedGraph, h: EdgeSubset) -> None:
         raise ValueError("an interior vertex has degree other than 2 in the host graph")
 
 
+def _harmonic_bound(weights: Iterable[float]) -> float:
+    """The reciprocal of the summed reciprocals of ``weights``."""
+    return 1.0 / math.fsum(1.0 / w for w in weights)
+
+
 def line_weight_bound(g: WeightedGraph, h: EdgeSubset, e: int) -> float:
     """Harmonic upper bound on |weight| of the unique negative edge of a line.
 
@@ -388,7 +393,7 @@ def line_weight_bound(g: WeightedGraph, h: EdgeSubset, e: int) -> float:
         raise ValueError(
             f"line must have exactly the one negative edge {e}; found negatives {negatives}"
         )
-    return 1.0 / math.fsum(1.0 / w for idx, w in zip(members, weights) if idx != e)
+    return _harmonic_bound(w for idx, w in zip(members, weights) if idx != e)
 
 
 def line_obstruction_scan(g: WeightedGraph, rel: float = REL_TOL) -> list[LineBoundReport]:
@@ -396,18 +401,20 @@ def line_obstruction_scan(g: WeightedGraph, rel: float = REL_TOL) -> list[LineBo
 
     Two or more negative edges violate unconditionally; a single negative
     edge violates when its magnitude exceeds the harmonic bound of the
-    remaining weights. Reports come in lexicographic line order.
+    remaining weights. Reports come in lexicographic line order. The lines
+    come from ``induced_lines``, so they are not validated again.
     """
     reports = []
     w = g._arrays.w
     for line in induced_lines(g):
-        negatives = tuple(idx for idx in line.sorted_members() if w[idx] < 0)
+        members = line.sorted_members()
+        negatives = tuple(idx for idx in members if w[idx] < 0)
         if len(negatives) == 0:
             reports.append(LineBoundReport(line, negatives, None, False))
         elif len(negatives) >= 2:
             reports.append(LineBoundReport(line, negatives, None, True))
         else:
-            bound = line_weight_bound(g, line, negatives[0])
+            bound = _harmonic_bound(float(w[idx]) for idx in members if idx != negatives[0])
             magnitude = abs(float(w[negatives[0]]))
             tol = rel * max(1.0, bound, magnitude)
             reports.append(LineBoundReport(line, negatives, bound, magnitude > bound + tol))

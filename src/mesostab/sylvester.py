@@ -64,9 +64,12 @@ Witness = Union[MinorWitness, VectorWitness]
 
 @dataclass(frozen=True)
 class DefinitenessVerdict:
+    """``certified`` is True only where the leading-minor certificate's rule held."""
+
     kind: str
     rank_estimate: int
     witness: Optional[Witness] = None
+    certified: bool = False
 
     @property
     def is_psd(self) -> bool:
@@ -91,11 +94,6 @@ def _classify_by_eigenvalues(L: np.ndarray) -> tuple[str, int, np.ndarray]:
     else:
         kind = INDEFINITE
     return kind, rank, w
-
-
-def eigen_rank(L: np.ndarray) -> int:
-    """Rank estimate: number of eigenvalues above the zero threshold."""
-    return _classify_by_eigenvalues(L)[1]
 
 
 def _extend_combinations(prev: np.ndarray, order: np.ndarray, place: np.ndarray,
@@ -136,13 +134,13 @@ def _require_n_max(n: int, n_max: int, sweep: str) -> None:
 
 
 def _principal_blocks(L: np.ndarray, k_max: int, labels: Optional[np.ndarray] = None):
-    """Chunks ``(k, subsets, blocks)`` of the principal submatrices of sizes 1..k_max on the
+    """Chunks ``(subsets, blocks)`` of the principal submatrices of sizes 1..k_max on the
     subsets inside one class of ``labels`` (default: one class) in sweep order (sizes
     ascending, then 0-based subsets lexicographic), at most ``SWEEP_CHUNK`` each."""
-    for k, combos in _combinations(L.shape[0], k_max, labels):
+    for _, combos in _combinations(L.shape[0], k_max, labels):
         for start in range(0, len(combos), SWEEP_CHUNK):
             cc = combos[start:start + SWEEP_CHUNK]
-            yield k, cc, L[cc[:, :, None], cc[:, None, :]]
+            yield cc, L[cc[:, :, None], cc[:, None, :]]
 
 
 def _minor_tolerances(blocks: np.ndarray, rel: float) -> np.ndarray:
@@ -181,10 +179,14 @@ def _minors(cc: np.ndarray, blocks: np.ndarray, rel: float):
 def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL) -> DefinitenessVerdict:
     """Classify by the full sweep over the nonempty principal minors.
 
-    Positive semi-definite means every principal minor clears ``-tol`` where
-    tol scales with the Hadamard bound of each submatrix. The witness is the
-    first subset, sizes ascending then lexicographic, whose minor breaks the
-    positive side (or, failing that, the negative side).
+    A symmetric matrix is positive semi-definite exactly when no principal
+    minor is negative; here a minor counts as negative below ``-tol``, where
+    tol is ``rel`` times the Hadamard bound of its submatrix. The witness is
+    the first such subset, sizes ascending then lexicographic. Kind and rank
+    come from the eigenvalues: without a witness the kind is
+    positive-definite at full rank and positive-semi-definite below it; with
+    one, the spectrum's kind stands, except that a positive kind reads
+    indefinite.
 
     Only the subsets inside one component of the matrix's exactly nonzero
     off-diagonal entries are swept: the sum over components of 2^{n_c} - 1
@@ -192,53 +194,36 @@ def is_psd_full(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = REL_TOL)
     product of its components' minors, and its Hadamard bound the product of
     theirs, so it adds no witness: if det < -rel * H on a subset spanning
     several components, some factor has d_c < -rel * H_c, since every other
-    factor is at most its own bound (on the negative side, (-1)^k splits the
-    same way). That factor's subset is smaller, so it comes first, with the
-    submatrix, determinant and tolerance of the whole-matrix sweep, bit for
-    bit. Only the strict flags can differ: components whose minors all clear
-    their tolerances make the kind definite even where a product of several
-    components' minors would fall within rel of its bound.
+    factor is at most its own bound. That factor's subset is smaller, so it
+    comes first, with the submatrix, determinant and tolerance of the
+    whole-matrix sweep, bit for bit.
 
     The subsets are visited in sweep order, in ``_principal_blocks`` chunks,
-    and the sweep stops once both sides are broken: the verdict is then
-    indefinite with the positive-side witness. It is refused above
-    ``n_max``. A subset whose determinant or tolerance overflows is a
-    ValueError naming it, unless the verdict comes first; a product of
+    and the sweep stops at the first chunk holding a witness. It is refused
+    above ``n_max``. A subset whose determinant or tolerance overflows is a
+    ValueError naming it, unless a witness comes before it; a product of
     several components' minors is never formed, so it cannot overflow.
     """
     L = require_symmetric(L)
     n = L.shape[0]
     _require_n_max(n, n_max, "exhaustive minor sweep")
     labels, _ = _index_forest(n, *np.nonzero(np.triu(L != 0, 1)))
-    first_pos_violation: Optional[MinorWitness] = None
-    first_neg_violation: Optional[MinorWitness] = None
-    all_pos_strict = True
-    all_neg_strict = True
-    for k, cc, subs in _principal_blocks(L, n, labels):
-        sign = -1.0 if k % 2 else 1.0
+    witness: Optional[MinorWitness] = None
+    for cc, subs in _principal_blocks(L, n, labels):
         dets, tols, overflow = _minors(cc, subs, rel)
-        pos_bad = dets < -tols
-        neg_bad = sign * dets < -tols
-        if first_pos_violation is None and pos_bad.any():
-            at = int(np.argmax(pos_bad))
-            first_pos_violation = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
-        if first_neg_violation is None and neg_bad.any():
-            at = int(np.argmax(neg_bad))
-            first_neg_violation = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
-        if first_pos_violation is not None and first_neg_violation is not None:
-            return DefinitenessVerdict(INDEFINITE, eigen_rank(L), first_pos_violation)
+        bad = dets < -tols
+        if bad.any():
+            at = int(np.argmax(bad))
+            witness = MinorWitness(tuple(int(v) + 1 for v in cc[at]), float(dets[at]))
+            break
         if overflow is not None:
             raise overflow
-        if not (dets > tols).all():
-            all_pos_strict = False
-        if not (sign * dets > tols).all():
-            all_neg_strict = False
-    rank = eigen_rank(L)
-    if first_pos_violation is None:
-        kind = POSITIVE_DEFINITE if all_pos_strict else POSITIVE_SEMI_DEFINITE
-        return DefinitenessVerdict(kind, rank)
-    kind = NEGATIVE_DEFINITE if all_neg_strict else NEGATIVE_SEMI_DEFINITE
-    return DefinitenessVerdict(kind, rank, first_pos_violation)
+    kind, rank, _ = _classify_by_eigenvalues(L)
+    if witness is None:
+        kind = POSITIVE_DEFINITE if rank == n else POSITIVE_SEMI_DEFINITE
+    elif kind in (POSITIVE_DEFINITE, POSITIVE_SEMI_DEFINITE):
+        kind = INDEFINITE
+    return DefinitenessVerdict(kind, rank, witness)
 
 
 def _leading_minor_refusal(L: np.ndarray, rel: float) -> tuple[int, bool]:
@@ -273,17 +258,18 @@ def is_psd_zero_row_sum(L: np.ndarray, rel: float = REL_TOL) -> DefinitenessVerd
     """Certificate for PSD with rank n-1, valid for zero-row-sum matrices.
 
     Strict positivity of the n-1 leading principal minors certifies the
-    verdict; it holds when every pivot of one Cholesky factorization of the
-    leading block clears ``rel`` times its diagonal entry. When some pivot
-    fails, nothing combinatorial can be concluded, so the returned kind
-    falls back to the eigenvalue classification; the failing leading minor
-    is attached when it is negative outright, otherwise an eigenvector with
-    a disqualifying quadratic form serves as the witness.
+    verdict (``certified`` is True); it holds when every pivot of one
+    Cholesky factorization of the leading block clears ``rel`` times its
+    diagonal entry. When some pivot fails, nothing combinatorial can be
+    concluded, so the returned kind falls back to the eigenvalue
+    classification, which may still read PSD with rank n-1; the failing
+    leading minor is attached when it is negative outright, otherwise an
+    eigenvector with a disqualifying quadratic form serves as the witness.
     """
     L = require_zero_row_sums(require_symmetric(L), rel)
     k, negative = _leading_minor_refusal(L, rel)
     if k == 0:
-        return DefinitenessVerdict(POSITIVE_SEMI_DEFINITE, L.shape[0] - 1)
+        return DefinitenessVerdict(POSITIVE_SEMI_DEFINITE, L.shape[0] - 1, certified=True)
     kind, rank, w = _classify_by_eigenvalues(L)
     witness: Optional[Witness]
     if negative:
@@ -295,11 +281,6 @@ def is_psd_zero_row_sum(L: np.ndarray, rel: float = REL_TOL) -> DefinitenessVerd
     else:
         witness = None
     return DefinitenessVerdict(kind, rank, witness)
-
-
-def certifies_psd_max_rank(verdict: DefinitenessVerdict, n: int) -> bool:
-    """True when a verdict asserts PSD with a simple zero eigenvalue."""
-    return verdict.kind == POSITIVE_SEMI_DEFINITE and verdict.rank_estimate == n - 1 and verdict.witness is None
 
 
 def _is_pd_cholesky(blocks: np.ndarray, rel: float) -> bool:
@@ -356,7 +337,7 @@ def check_equivalences(L: np.ndarray, n_max: int = DEFAULT_N_MAX, rel: float = R
 
     cond_ii = True
     cond_iii = True
-    for _, cc, blocks in _principal_blocks(L, n - 1):
+    for cc, blocks in _principal_blocks(L, n - 1):
         if cond_ii:
             dets, tols, overflow = _minors(cc, blocks, rel)
             cond_ii = bool((dets > tols).all())

@@ -48,8 +48,6 @@ from mesostab.graphs import _vertex_subset
 from mesostab.numerics import REL_TOL, det_partial_pivot, require_symmetric, require_zero_row_sums
 from mesostab.sylvester import (
     INDEFINITE,
-    NEGATIVE_DEFINITE,
-    NEGATIVE_SEMI_DEFINITE,
     POSITIVE_DEFINITE,
     POSITIVE_SEMI_DEFINITE,
     DefinitenessVerdict,
@@ -58,7 +56,6 @@ from mesostab.sylvester import (
     _classify_by_eigenvalues,
     _is_pd_cholesky,
     _leading_minor_refusal,
-    eigen_rank,
 )
 from mesostab.selftest import random_signed_graph, random_zero_row_sum_matrix
 
@@ -463,39 +460,27 @@ def loop_incidence(g: WeightedGraph):
 
 def unchunked_sweep(L, rel=REL_TOL):
     """The exhaustive principal-minor sweep over every subset of the whole matrix,
-    one batch per subset size, run to the end."""
+    one batch per subset size, run to the end: the witness is the first minor
+    below ``-rel`` times its Hadamard bound, and kind and rank come from the
+    eigenvalues, a positive kind reading indefinite beside a witness."""
     L = require_symmetric(L)
     n = L.shape[0]
-    first_pos_violation: Optional[MinorWitness] = None
-    first_neg_violation: Optional[MinorWitness] = None
-    all_pos_strict = True
-    all_neg_strict = True
+    witness: Optional[MinorWitness] = None
     for k in range(1, n + 1):
         combos = np.array(list(itertools.combinations(range(n), k)))
         subs = L[combos[:, :, None], combos[:, None, :]]
         dets = np.linalg.det(subs)
         tols = rel * np.prod(np.sqrt((subs * subs).sum(axis=2)), axis=1)
-        sign = -1.0 if k % 2 else 1.0
-        pos_bad = dets < -tols
-        neg_bad = sign * dets < -tols
-        if first_pos_violation is None and pos_bad.any():
-            at = int(np.argmax(pos_bad))
-            first_pos_violation = MinorWitness(tuple(int(v) + 1 for v in combos[at]), float(dets[at]))
-        if first_neg_violation is None and neg_bad.any():
-            at = int(np.argmax(neg_bad))
-            first_neg_violation = MinorWitness(tuple(int(v) + 1 for v in combos[at]), float(dets[at]))
-        if not (dets > tols).all():
-            all_pos_strict = False
-        if not (sign * dets > tols).all():
-            all_neg_strict = False
-    rank = eigen_rank(L)
-    if first_pos_violation is None:
-        kind = POSITIVE_DEFINITE if all_pos_strict else POSITIVE_SEMI_DEFINITE
-        return DefinitenessVerdict(kind, rank)
-    if first_neg_violation is None:
-        kind = NEGATIVE_DEFINITE if all_neg_strict else NEGATIVE_SEMI_DEFINITE
-        return DefinitenessVerdict(kind, rank, first_pos_violation)
-    return DefinitenessVerdict(INDEFINITE, rank, first_pos_violation)
+        bad = dets < -tols
+        if witness is None and bad.any():
+            at = int(np.argmax(bad))
+            witness = MinorWitness(tuple(int(v) + 1 for v in combos[at]), float(dets[at]))
+    kind, rank, _ = _classify_by_eigenvalues(L)
+    if witness is None:
+        return DefinitenessVerdict(POSITIVE_DEFINITE if rank == n else POSITIVE_SEMI_DEFINITE, rank)
+    if kind in (POSITIVE_DEFINITE, POSITIVE_SEMI_DEFINITE):
+        kind = INDEFINITE
+    return DefinitenessVerdict(kind, rank, witness)
 
 
 def looped_equivalences(L, rel=REL_TOL):

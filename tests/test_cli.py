@@ -143,6 +143,22 @@ class TestAnalyzeGraph:
         assert code == 1
         assert payload["report"]["negative_cut"]["vertices"] == [3]
 
+    def test_refused_certificate_is_not_certified_by_its_eigenvalue_fallback(self, capsys, tmp_path):
+        # at --tol 1e-3 the second pivot (9.999e-5) is refused, while the
+        # eigenvalues still read PSD with rank n - 1
+        path = tmp_path / "weak.txt"
+        path.write_text("3 2\n1 2 1.0\n2 3 0.0001\n")
+        code, payload = run_json(capsys, ["--tol", "1e-3", "analyze-graph", str(path)])
+        report = payload["report"]
+        assert code == 1
+        assert (report["verdict"], report["certified"], report["rank_estimate"]) == ("degenerate", False, 2)
+        assert report["definiteness"] == {"kind": "positive-semi-definite", "rank_estimate": 2, "witness": None}
+        assert report["full_sweep"] == {"kind": "positive-semi-definite", "rank_estimate": 2, "witness": None}
+        assert report["notes"] == ["the leading-minor certificate was refused within tolerance "
+                                   "and no obstruction was found"]
+        assert main(["--format", "json", "analyze-graph", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["certified"]
+
     def test_graph_without_vertices_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("0 0\n")

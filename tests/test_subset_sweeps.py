@@ -2,12 +2,9 @@
 
 The principal-minor sweep takes only the subsets inside one block of a
 permuted block-diagonal matrix, streams each subset size in chunks and
-stops at its verdict; the cut identity sums each side's crossing pools once, and
+stops at its first violation; the cut identity sums each side's crossing pools once, and
 its all-sides sweep fills the Laplacian minors of one graph once. Both must return
-exactly what the oracles in ``helpers`` return, floats bit for bit, except
-that the sweep may call a block-diagonal matrix definite where the
-whole-matrix rule, judging products of blocks' minors, calls it
-semi-definite. The
+exactly what the oracles in ``helpers`` return, floats bit for bit. The
 cut identity's closed-form crossing weights must also agree with the
 paper's forest-by-forest expansion. The five-way check walks the same
 chunks as the sweep and must return the report of its one-subset-at-a-time
@@ -202,21 +199,13 @@ def block_diagonal_matrices(draw):
     return _block_diagonal([_block(rng, kind, k) for kind, k in zip(kinds, sizes)], rng)
 
 
-# A strictly signed minor of every block makes the per-block kind definite;
-# the whole-matrix rule may call a product of such minors within rel of its
-# bound semi-definite. No other kind may differ.
-DEFINITE_ONLY_PER_BLOCK = {("positive-semi-definite", "positive-definite"),
-                           ("negative-semi-definite", "negative-definite")}
-
-
 @settings(max_examples=400, deadline=None)
 @given(block_diagonal_matrices(), st.sampled_from([1, 3, 7, sylvester.SWEEP_CHUNK]))
 def test_block_diagonal_sweep_matches_whole_matrix_oracle(a, chunk):
     want = unchunked_sweep(a)
     with mock.patch.object(sylvester, "SWEEP_CHUNK", chunk):
         got = is_psd_full(a)
-    assert got.rank_estimate == want.rank_estimate
-    assert got.kind == want.kind or (want.kind, got.kind) in DEFINITE_ONLY_PER_BLOCK
+    assert (got.kind, got.rank_estimate) == (want.kind, want.rank_estimate)
     if want.witness is None:
         assert got.witness is None
     else:
@@ -224,19 +213,18 @@ def test_block_diagonal_sweep_matches_whole_matrix_oracle(a, chunk):
         assert same_float(got.witness.value, want.witness.value)
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_near_singular_blocks_stay_definite(sign):
-    # each block's determinant is 1e-6 of its Hadamard bound, above rel = 1e-9;
-    # the product of the two (1e-12 of its bound) is not, so the whole-matrix
-    # rule called the matrix semi-definite
+@pytest.mark.parametrize("sign, kind", [(1.0, "positive-definite"), (-1.0, "negative-definite")])
+def test_near_singular_blocks_stay_definite(sign, kind):
+    # each block's determinant is 1e-6 of its Hadamard bound and the product of
+    # the two 1e-12 of its bound, but the kind comes from the eigenvalues
+    # (1e-6 each, above the zero threshold), so neither sweep calls it semi-definite
     eps = 1e-6
     block = sign * np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]])
     a = _block_diagonal([block, block], np.random.default_rng(7))
     want = unchunked_sweep(a)
     got = is_psd_full(a)
-    assert (want.kind, got.kind) in DEFINITE_ONLY_PER_BLOCK
-    assert got.rank_estimate == want.rank_estimate == 4
-    assert got.witness == want.witness
+    assert got == want
+    assert (got.kind, got.rank_estimate) == (kind, 4)
 
 
 def _counted_blocks(monkeypatch) -> list:
@@ -245,9 +233,9 @@ def _counted_blocks(monkeypatch) -> list:
     blocks = sylvester._principal_blocks
 
     def counted(L, k_max, labels=None):
-        for k, cc, subs in blocks(L, k_max, labels):
+        for cc, subs in blocks(L, k_max, labels):
             formed.append(len(subs))
-            yield k, cc, subs
+            yield cc, subs
 
     monkeypatch.setattr(sylvester, "_principal_blocks", counted)
     return formed
@@ -264,10 +252,9 @@ def test_two_block_sweep_takes_each_blocks_minors_only(monkeypatch):
 
 
 @pytest.mark.parametrize("pair_first, formed_chunks", [(True, [12]), (False, [12])])
-def test_block_sweep_stops_once_both_sides_are_broken_anywhere(monkeypatch, pair_first, formed_chunks):
-    # the pair's negative diagonal breaks the positive side, the 10-block's
-    # positive diagonal the negative side: both are broken among the 12
-    # singletons, wherever the pair sits, so the sweep forms no pair
+def test_block_sweep_stops_at_the_first_violation_anywhere(monkeypatch, pair_first, formed_chunks):
+    # the pair's negative diagonal is a violation among the 12 singletons,
+    # wherever the pair sits, so the sweep forms no pair
     pair = -laplacian(WeightedGraph(2, ((1, 2, 1.0),)))
     big = laplacian(random_positive_graph(np.random.default_rng(23), 10, 20))
     a = _block_diagonal([pair, big] if pair_first else [big, pair])
@@ -277,6 +264,16 @@ def test_block_sweep_stops_once_both_sides_are_broken_anywhere(monkeypatch, pair
     assert got.kind == want.kind == "indefinite"
     assert got.witness == want.witness == MinorWitness((1,) if pair_first else (11,), -1.0)
     assert formed == formed_chunks
+
+
+def test_negative_semi_definite_sweep_stops_at_the_singletons(monkeypatch):
+    # a negated connected Laplacian has a negative diagonal entry, so the
+    # sweep stops at the chunk of its 16 singletons
+    g = random_positive_graph(np.random.default_rng(31), 16, 40)
+    formed = _counted_blocks(monkeypatch)
+    got = is_psd_full(-laplacian(g))
+    assert (got.kind, got.rank_estimate, got.witness.subset) == ("negative-semi-definite", 15, (1,))
+    assert formed == [16]
 
 
 def test_sweep_guard_applies_to_n_not_to_a_block(tmp_path, capsys):

@@ -38,6 +38,10 @@ C_MATRIX = np.array([
 ])
 
 
+def certified_verdict(n):
+    return DefinitenessVerdict("positive-semi-definite", n - 1, certified=True)
+
+
 def triangle_laplacian():
     return laplacian(WeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0))))
 
@@ -104,6 +108,34 @@ class TestFullSweep:
             report = check_equivalences(laplacian(WeightedGraph(4, ((1, 2, 1.0), (3, 4, 1e200)))))
         assert verdict.kind == "indefinite" and verdict.witness.subset == (1, 2)
         assert not report.proper_minors_positive
+
+    def test_witness_before_an_overflowing_minor_stands(self):
+        # the {1} singleton breaks the positive side before the {2,3} minor
+        # (1e400) overflows; the kind comes from the spectrum
+        a = -np.array([[1.0, 0.0, 0.0], [0.0, 1e200, 5e199], [0.0, 5e199, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            verdict = is_psd_full(a)
+        assert verdict.witness == MinorWitness((1,), -1.0)
+        assert verdict.kind == "negative-semi-definite"
+
+    def test_rounding_size_minor_does_not_make_a_negative_semi_definite_jacobian_indefinite(self):
+        # the negated Jacobian of the path 1-2-3 at phases (pi, 0, pi/2) has
+        # eigenvalues 0, 0, -2; its {3} minor, cos(pi/2) ~ 6e-17, is positive,
+        # but the kind comes from the spectrum
+        b = np.zeros((3, 3))
+        b[0, 1] = b[1, 0] = b[1, 2] = b[2, 1] = 1.0
+        x = np.array([np.pi, 0.0, np.pi / 2])
+        omega = -(b * np.sin(x[None, :] - x[:, None])).sum(axis=1)
+        verdict = is_psd_full(-jacobian(KuramotoSystem(omega, b), x))
+        assert verdict == DefinitenessVerdict("negative-semi-definite", 1, MinorWitness((1,), -1.0))
+
+    def test_kind_and_rank_come_from_one_spectrum(self):
+        # the determinant 6e-9 clears rel times its bound, but the eigenvalue
+        # 3e-9 is below the zero threshold: rank 1, so semi-definite
+        eps = 3e-9
+        verdict = is_psd_full(np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]]))
+        assert verdict == DefinitenessVerdict("positive-semi-definite", 1)
 
     def test_first_overflow_in_sweep_order_is_named_across_blocks(self):
         # block {1,2,3} first breaks the positive side at size 3; block {4,5,6},
@@ -221,8 +253,7 @@ class TestZeroRowSumCertificate:
             a = random_zero_row_sum_matrix(rng, n)
             cheap = is_psd_zero_row_sum(a)
             full = is_psd_full(a)
-            certified = cheap.kind == "positive-semi-definite" and cheap.rank_estimate == n - 1 \
-                and cheap.witness is None
+            certified = cheap.certified
             expected = full.kind == "positive-semi-definite" and full.rank_estimate == n - 1
             assert certified == expected
 
@@ -315,7 +346,7 @@ def reference_certificate(L, rel=REL_TOL):
             else:
                 witness = None
             return DefinitenessVerdict(kind, rank, witness)
-    return DefinitenessVerdict("positive-semi-definite", n - 1)
+    return DefinitenessVerdict("positive-semi-definite", n - 1, certified=True)
 
 
 def dense_kuramoto_jacobian(rng, n, scale=1.0):
@@ -355,9 +386,7 @@ class TestLeadingMinorKernel:
                 assert verdict == expected
                 routes.add(type(verdict.witness).__name__ if verdict.witness else verdict.kind)
                 if trial % 10 == 0:
-                    certified = expected.witness is None and expected.rank_estimate == n - 1 \
-                        and expected.kind == "positive-semi-definite"
-                    assert check_equivalences(L).leading_minors_positive == certified
+                    assert check_equivalences(L).leading_minors_positive == expected.certified
         assert {"MinorWitness", "VectorWitness", "positive-semi-definite"} <= routes
 
     def test_matches_per_k_reference_on_dense_kuramoto_jacobians(self):
@@ -369,7 +398,7 @@ class TestLeadingMinorKernel:
             for L in (-a, a):
                 verdict = is_psd_zero_row_sum(L)
                 assert verdict == reference_certificate(L)
-                certified += verdict.witness is None and verdict.rank_estimate == n - 1
+                certified += verdict.certified
         assert certified >= 10
 
     @pytest.mark.parametrize("n, scale", [(10, 1e-150), (10, 1e150), (25, 1.0), (60, 1.0), (1000, 1.0)])
@@ -378,7 +407,7 @@ class TestLeadingMinorKernel:
         monkeypatch.setattr(sylvester.np.linalg, "eigh", _no_eigenvalues)
         path = WeightedGraph(n, tuple((i, i + 1, 1.0) for i in range(1, n)))
         verdict = is_psd_zero_row_sum(scale * laplacian(path))
-        assert verdict == DefinitenessVerdict("positive-semi-definite", n - 1)
+        assert verdict == certified_verdict(n)
 
     def test_certifies_permuted_weighted_path_without_eigenvalues(self, monkeypatch):
         monkeypatch.setattr(sylvester.np.linalg, "eigvalsh", _no_eigenvalues)
@@ -388,7 +417,7 @@ class TestLeadingMinorKernel:
         L = laplacian(WeightedGraph(n, tuple((i, i + 1, float(rng.uniform(0.5, 2.0))) for i in range(1, n))))
         for _ in range(5):
             p = rng.permutation(n)
-            assert is_psd_zero_row_sum(L[np.ix_(p, p)]) == DefinitenessVerdict("positive-semi-definite", n - 1)
+            assert is_psd_zero_row_sum(L[np.ix_(p, p)]) == certified_verdict(n)
 
     @pytest.mark.parametrize("weights, tail", [
         ((0.1, 0.1, 0.2), 1.0),  # Cholesky runs through a pivot of rounding size
@@ -435,7 +464,7 @@ class TestLeadingMinorKernel:
         monkeypatch.setattr(sylvester.np.linalg, "eigh", _no_eigenvalues)
         with np.errstate(all="raise"):
             verdict = is_psd_zero_row_sum(-jacobian(system, x))
-        assert verdict == DefinitenessVerdict("positive-semi-definite", n - 1)
+        assert verdict == certified_verdict(n)
 
 
 SCALES = (1e-6, 1.0, 1e6)

@@ -7,15 +7,18 @@ imported, so nothing is written next to it. An import that a module no
 longer uses would still satisfy that check, so every name a module imports
 must also be used in it (``__init__.py`` only re-exports). A private
 module-level helper must be used somewhere in the package, so that no helper
-stays alive only for the tests.
+stays alive only for the tests. The README's library quick start is read
+the same way and run, so the calls it documents cannot drift.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+README = ROOT / "README.md"
 
 
 def test_every_traced_name_resolves_on_the_package():
@@ -71,3 +74,11 @@ def test_every_private_helper_is_used_in_the_package(tmp_path):
     sample.write_text("def _walk(v):\n    return _walk(v - 1) if v else 0\n\n\nclass _Unused:\n    pass\n\n\n"
                       "def _used():\n    pass\n\n\ndef public():\n    return _used()\n")
     assert _unreferenced_private_helpers([sample]) == ["sample.py:_walk", "sample.py:_Unused"]
+
+
+def test_readme_quick_start_runs():
+    blocks = re.findall(r"^## Library quick start\n\n```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    namespace: dict = {"__name__": "quick_start"}
+    exec(compile(blocks[0], f"{README}:quick start", "exec"), namespace)
+    assert namespace["report"].verdict == "passes necessary condition"
