@@ -25,6 +25,13 @@ logger = logging.getLogger(__name__)
 
 NEWTON_MAX_ITER = 200
 NEWTON_MAX_HALVINGS = 50
+# On the benchmark's systems every locking search converges within 5
+# iterations, while a non-locking one wanders for 8-200; the min cut runs
+# once, at this iteration. An earlier trigger (8) refutes sooner still, but
+# the benchmark harness keeps each op's stdout, so its extra ops push
+# lock-sparse's peak RSS past its bound; lower it once the harness stops
+# keeping them.
+NEWTON_CUT_AFTER = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,14 +121,123 @@ def _residual_jacobian(sys: KuramotoSystem, x: np.ndarray) -> np.ndarray:
     return a
 
 
+def _min_cut_source_side(n_nodes: int, u: np.ndarray, v: np.ndarray, cap_uv: np.ndarray,
+                         cap_vu: np.ndarray, source: int, sink: int) -> np.ndarray:
+    """Source side of a minimum ``source``-``sink`` cut, by Dinic's max flow.
+
+    Link k joins ``u[k]`` and ``v[k]`` with capacity ``cap_uv[k]`` one way
+    and ``cap_vu[k]`` the other; its two arcs are each other's reverse. Each
+    augmentation saturates an arc to exactly 0.0 (x - x), so every phase
+    ends, and the level of the sink rises each phase, so at most
+    ``n_nodes`` phases run. The depth-first search keeps its path in a list,
+    so no recursion limit applies. Returns the boolean mask of the nodes
+    that the final residual graph reaches from ``source``.
+    """
+    m = u.size
+    tails = np.concatenate([u, v])
+    order = np.argsort(tails, kind="stable")
+    start = np.searchsorted(tails[order], np.arange(n_nodes + 1)).tolist()
+    arcs = order.tolist()
+    head = np.concatenate([v, u]).tolist()
+    tail = tails.tolist()
+    residual = np.concatenate([cap_uv, cap_vu]).tolist()
+    while True:
+        level = [-1] * n_nodes
+        level[source] = 0
+        queue = [source]
+        for x in queue:
+            for a in arcs[start[x]:start[x + 1]]:
+                y = head[a]
+                if level[y] < 0 and residual[a] > 0.0:
+                    level[y] = level[x] + 1
+                    queue.append(y)
+        if level[sink] < 0:
+            return np.array(level) >= 0
+        ptr = start[:-1]
+        path: list[int] = []
+        x = source
+        while True:
+            if x == sink:
+                flow = min(residual[a] for a in path)
+                for a in path:
+                    residual[a] -= flow
+                    residual[a - m if a >= m else a + m] += flow
+                path.clear()
+                x = source
+                continue
+            end = start[x + 1]
+            k = ptr[x]
+            while k < end:
+                a = arcs[k]
+                if residual[a] > 0.0 and level[head[a]] == level[x] + 1:
+                    break
+                k += 1
+            ptr[x] = k
+            if k < end:
+                path.append(a)
+                x = head[a]
+            elif x == source:
+                break
+            else:
+                # dead end: no augmenting path goes through x in this phase
+                level[x] = -1
+                x = tail[path.pop()]
+                ptr[x] += 1
+
+
+def _cut_refutes_locking(sys: KuramotoSystem, tol: float) -> bool:
+    """True when one vertex set proves that no phase vector has residual norm below ``tol``.
+
+    Summing the residual over a set S cancels the coupling inside S, so
+    sqrt|S| ||r|| >= sum_S r >= sum_S om - b(dS), with om the centred
+    frequencies and b(dS) the coupling that crosses S. The S that maximizes
+    sum_S om - b(dS) is the source side of a minimum cut: the source feeds
+    each oscillator its surplus, the sink drains each deficit and each
+    coupled pair carries b_ij either way. S is then checked directly, with
+    correctly rounded sums, against sqrt|S| tol (1 + g) + g sum_S (|om_i| + deg_i), with
+    g = gamma_{2n+16}. That slack covers the rounding of the float residual
+    (a row sum of n products, the sine to 4 ulp, the centred frequency
+    added), of its norm and of this check, so no float iterate could pass
+    the residual test either.
+    """
+    n = sys.n
+    om = sys.omega - sys.mean_frequency
+    i, j = sys._coupled_pairs()
+    weights = sys.b[i, j]
+    nodes = np.arange(n)
+    source, sink = n, n + 1
+    in_s = _min_cut_source_side(
+        n + 2,
+        np.concatenate([i, np.full(n, source), nodes]),
+        np.concatenate([j, nodes, np.full(n, sink)]),
+        np.concatenate([weights, np.maximum(om, 0.0), np.maximum(-om, 0.0)]),
+        np.concatenate([weights, np.zeros(2 * n)]),
+        source, sink,
+    )[:n]
+    size = int(np.count_nonzero(in_s))
+    total = math.fsum(om[in_s])
+    crossing = math.fsum(weights[in_s[i] != in_s[j]])
+    ku = (2 * n + 16) * np.finfo(float).eps / 2
+    rounding = ku / (1.0 - ku)  # Higham's gamma: the relative bound of 2n + 16 roundings
+    scale = math.fsum(np.abs(om[in_s])) + math.fsum(weights[in_s[i]]) + math.fsum(weights[in_s[j]])
+    if total - crossing <= math.sqrt(size) * tol * (1.0 + rounding) + rounding * scale:
+        return False
+    logger.info("no phase-locked state: |S| = %d, sum over S of the centred frequencies = %.17g, "
+                "coupling crossing S = %.17g", size, total, crossing)
+    return True
+
+
 def find_equilibrium(sys: KuramotoSystem, x0) -> Optional[np.ndarray]:
     """Damped Newton search for a phase-locked state near ``x0``.
 
     The last phase is pinned to zero to remove the rotational degeneracy and
     Newton runs on the remaining coordinates. Steps are halved until the
     residual norm decreases; the accepted trial's residual carries over, so
-    each phase vector is evaluated once. Returns the phases in [0, 2*pi) with
-    the last entry zero, or None when the iteration does not converge.
+    each phase vector is evaluated once. A search still short of the
+    tolerance after ``NEWTON_CUT_AFTER`` iterations asks one minimum cut
+    whether any phase vector could pass; when the cut proves that none can,
+    it stops there. Returns the phases in [0, 2*pi) with the last entry
+    zero, or None when the iteration does not converge.
     """
     tol = equilibrium_tolerance(sys)
     x = np.asarray(x0, dtype=float).copy()
@@ -132,9 +248,11 @@ def find_equilibrium(sys: KuramotoSystem, x0) -> Optional[np.ndarray]:
         return wrap_phases(x)
     r = rotating_frame_residual(sys, x)
     norm = float(np.linalg.norm(r))
-    for _ in range(NEWTON_MAX_ITER):
+    for iteration in range(NEWTON_MAX_ITER):
         if norm < tol:
             return wrap_phases(x)
+        if iteration == NEWTON_CUT_AFTER and _cut_refutes_locking(sys, tol):
+            return None
         jac = _residual_jacobian(sys, x)[:-1, :-1]
         rhs = -r[:-1]
         try:

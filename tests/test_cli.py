@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mesostab import WeightedGraph, graphs, laplacian, principal_minor_direct
-from mesostab import cli
+from mesostab import cli, kuramoto
 from mesostab.cli import main
 from mesostab.io import format_edge_list, format_kuramoto, format_matrix_csv
 from mesostab.kuramoto import KuramotoSystem
@@ -42,6 +42,18 @@ def two_node_file(tmp_path):
     path = tmp_path / "osc.txt"
     path.write_text(format_kuramoto(sys_))
     return path
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for subprocesses."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_package_runs_as_a_module():
+    done = subprocess.run([sys.executable, "-m", "mesostab", "--help"], capture_output=True, text=True, env=src_env())
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: ") and done.stderr == ""
 
 
 def run_json(capsys, argv):
@@ -105,10 +117,8 @@ class TestAnalyzeMatrix:
     def test_overflowing_row_sums_print_only_the_error(self, tmp_path, flags):
         path = tmp_path / "huge.csv"
         path.write_text("1e308,1e308\n1e308,1e308\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, *flags, "-m", "mesostab.cli", "analyze-matrix", str(path)],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=src_env())
         assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: matrix does not have zero row sums (row 1)\n")
 
     def test_parse_error_names_line(self, capsys, tmp_path):
@@ -194,6 +204,20 @@ class TestKuramotoCommand:
         assert code == 1
         assert payload["equilibrium"] is None
         assert "no phase-locked state" in payload["verdict"]
+
+    def test_refusal_by_the_cut_leaves_output_and_exit_code_unchanged(self, tmp_path):
+        # The cut ends the search before its first step when its trigger is 0,
+        # and never runs when the trigger is the iteration cap.
+        sys_ = KuramotoSystem(np.array([1.5, -1.5]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        path = tmp_path / "nolock.txt"
+        path.write_text(format_kuramoto(sys_))
+        script = ("import sys; from mesostab import cli, kuramoto; "
+                  "kuramoto.NEWTON_CUT_AFTER = int(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))")
+        runs = [subprocess.run([sys.executable, "-c", script, str(after), "--format", "json", "kuramoto", str(path)],
+                               capture_output=True, text=True, env=src_env())
+                for after in (0, kuramoto.NEWTON_MAX_ITER)]
+        assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(1, runs[1].stdout, "")] * 2
+        assert json.loads(runs[0].stdout)["verdict"] == "no phase-locked state found from the given seed"
 
     def test_allocation_failure_exits_two(self, capsys, monkeypatch, two_node_file):
         # Raised by a stand-in parser: a real allocation of this size could get

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_positive_graph
 from mesostab import kuramoto
@@ -163,6 +165,162 @@ class TestFindEquilibrium:
         assert x is not None
         assert any("singular" in rec.message for rec in caplog.records)
         assert np.linalg.norm(rotating_frame_residual(sys_iso, x)) < 1e-10
+
+
+def ring_system(rng, n, factor):
+    """Ring of ``n`` oscillators whose coupling is ``factor`` times the ring-arc lock bound."""
+    omega = rng.normal(scale=0.5, size=n)
+    b = np.zeros((n, n))
+    idx = np.arange(n)
+    b[idx, (idx + 1) % n] = rng.uniform(0.5, 1.5, size=n)
+    b = b + b.T
+    return KuramotoSystem(omega, b * (ring_arc_bound(omega, b) * factor))
+
+
+def ring_arc_bound(omega, b):
+    """Largest |sum of centred frequencies| / crossing coupling over the arcs of a ring."""
+    n = omega.size
+    om = omega - omega.mean()
+    best = 0.0
+    for first in range(n):
+        for length in range(1, n):
+            last = (first + length - 1) % n
+            arc = [(first + t) % n for t in range(length)]
+            crossing = b[(first - 1) % n, first] + b[last, (last + 1) % n]
+            best = max(best, abs(math.fsum(om[arc])) / crossing)
+    return best
+
+
+def brute_force_excess(sys_):
+    """Largest |sum_S (omega - mean)| - (coupling crossing S) over all 2^n vertex sets S."""
+    n = sys_.n
+    om = sys_.omega - sys_.mean_frequency
+    masks = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    crossing = ((masks[:, :, None] != masks[:, None, :]) * sys_.b).sum(axis=(1, 2)) / 2
+    return float(np.max(np.abs(masks @ om) - crossing))
+
+
+def refutes(sys_):
+    return kuramoto._cut_refutes_locking(sys_, kuramoto.equilibrium_tolerance(sys_))
+
+
+@st.composite
+def small_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    omega = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    upper = draw(st.lists(weight, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    b = np.zeros((n, n))
+    b[np.triu_indices(n, 1)] = upper
+    return KuramotoSystem(omega * scale, (b + b.T) * scale)
+
+
+class TestLockingCut:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_min_cut_matches_brute_force(self, data):
+        n_nodes = data.draw(st.integers(min_value=2, max_value=8))
+        node = st.integers(min_value=0, max_value=n_nodes - 1)
+        capacity = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+        links = data.draw(st.lists(st.tuples(node, node, capacity, capacity).filter(lambda t: t[0] != t[1]),
+                                   max_size=20))
+        u, v, cap_uv, cap_vu = (np.array([t[k] for t in links], dtype=int if k < 2 else float) for k in range(4))
+        source, sink = 0, n_nodes - 1
+        side = kuramoto._min_cut_source_side(n_nodes, u, v, cap_uv, cap_vu, source, sink)
+
+        def cut(mask):
+            return math.fsum(cap_uv[mask[u] & ~mask[v]]) + math.fsum(cap_vu[mask[v] & ~mask[u]])
+
+        masks = ((np.arange(2 ** n_nodes)[:, None] >> np.arange(n_nodes)) & 1).astype(bool)
+        best = min(cut(m) for m in masks if m[source] and not m[sink])
+        assert side[source] and not side[sink]
+        assert cut(side) == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems())
+    def test_refutes_exactly_when_some_vertex_set_does(self, sys_):
+        # away from the slack boundary: the rounding slack is below 1e-12 of
+        # the frequencies and degrees, and no set refutes below sqrt|S| * tol
+        tol = kuramoto.equilibrium_tolerance(sys_)
+        om = sys_.omega - sys_.mean_frequency
+        boundary = 2 * math.sqrt(sys_.n) * tol + 1e-12 * (np.abs(om).sum() + sys_.b.sum())
+        excess = brute_force_excess(sys_)
+        assume(excess <= tol / 2 or excess > boundary)
+        assert refutes(sys_) == (excess > boundary)
+
+    def test_rings_agree_with_the_arc_bound(self):
+        rng = np.random.default_rng(113)
+        outcomes = set()
+        for _ in range(120):
+            n = int(rng.integers(3, 13))
+            factor = float(rng.uniform(0.5, 1.5))
+            if abs(factor - 1.0) < 1e-6:
+                continue
+            sys_ = ring_system(rng, n, factor)
+            outcomes.add(factor < 1.0)
+            assert refutes(sys_) == (factor < 1.0)
+        assert outcomes == {True, False}
+
+    def test_never_refuses_a_system_newton_locks(self, monkeypatch):
+        monkeypatch.setattr(kuramoto, "NEWTON_CUT_AFTER", kuramoto.NEWTON_MAX_ITER)
+        rng = np.random.default_rng(127)
+        systems = [two_node(omega0) for omega0 in (0.5, 0.999, 1 - 1e-9, 1.0, 1 + 1e-13, 1 + 1e-11, 1.5)]
+        systems += [random_system(rng, int(rng.integers(2, 9))) for _ in range(40)]
+        systems += [ring_system(rng, int(rng.integers(3, 17)), float(rng.uniform(0.8, 2.0))) for _ in range(40)]
+        locked = refuted = 0
+        for sys_ in systems:
+            for x0 in (np.zeros(sys_.n), rng.uniform(0, 2 * math.pi, size=sys_.n)):
+                if find_equilibrium(sys_, x0) is not None:
+                    locked += 1
+                    assert not refutes(sys_)
+                else:
+                    refuted += refutes(sys_)
+        assert locked >= 40 and refuted >= 10
+
+    def test_searches_that_lock_early_never_run_the_cut(self, monkeypatch):
+        cuts, jacobians = [], []
+        cut, jac = kuramoto._cut_refutes_locking, kuramoto._residual_jacobian
+        monkeypatch.setattr(kuramoto, "_cut_refutes_locking", lambda s, t: cuts.append(1) or cut(s, t))
+        monkeypatch.setattr(kuramoto, "_residual_jacobian", lambda s, x: jacobians.append(1) or jac(s, x))
+        rng = np.random.default_rng(131)
+        early = 0
+        for k in range(80):
+            sys_ = random_system(rng, int(rng.integers(2, 9))) if k % 2 else ring_system(rng, 12, 1.5)
+            cuts.clear()
+            jacobians.clear()
+            x = find_equilibrium(sys_, np.zeros(sys_.n))
+            assert len(cuts) <= 1
+            if x is not None and len(jacobians) <= kuramoto.NEWTON_CUT_AFTER:
+                early += 1
+                assert cuts == []
+        assert early >= 40
+
+    def test_refusal_stops_the_search_at_the_trigger(self, monkeypatch):
+        jacobians = []
+        jac = kuramoto._residual_jacobian
+        monkeypatch.setattr(kuramoto, "_residual_jacobian", lambda s, x: jacobians.append(1) or jac(s, x))
+        monkeypatch.setattr(kuramoto, "NEWTON_CUT_AFTER", 3)
+        assert find_equilibrium(two_node(omega0=1.5), np.zeros(2)) is None
+        assert len(jacobians) == 3
+
+    def test_search_goes_on_when_the_cut_cannot_refute(self, monkeypatch):
+        cuts = []
+        cut = kuramoto._cut_refutes_locking
+        monkeypatch.setattr(kuramoto, "_cut_refutes_locking", lambda s, t: cuts.append(cut(s, t)) or cuts[-1])
+        monkeypatch.setattr(kuramoto, "NEWTON_CUT_AFTER", 1)
+        x = find_equilibrium(two_node(omega0=0.999), np.zeros(2))
+        assert x is not None and cuts == [False]
+
+    def test_refusal_logs_the_cut(self, caplog, monkeypatch):
+        monkeypatch.setattr(kuramoto, "NEWTON_CUT_AFTER", 0)
+        with caplog.at_level("INFO", logger="mesostab.kuramoto"):
+            assert find_equilibrium(two_node(omega0=1.5), np.zeros(2)) is None
+            assert find_equilibrium(two_node(omega0=0.5), np.zeros(2)) is not None
+        assert [(rec.levelname, rec.getMessage()) for rec in caplog.records] == [
+            ("INFO", "no phase-locked state: |S| = 1, sum over S of the centred frequencies = 1.5, "
+                     "coupling crossing S = 1"),
+        ]
 
 
 class TestJacobian:
