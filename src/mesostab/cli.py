@@ -24,12 +24,7 @@ from . import __version__
 from .analysis import PASSES, StabilityReport, analyze_graph, analyze_matrix
 from .graphs import _edge_tuples
 from .io import ParseError, parse_edge_list, parse_kuramoto, parse_matrix_csv, parse_phases
-from .kuramoto import (
-    classify_stability,
-    find_equilibrium,
-    rotating_frame_residual,
-    spanning_phase_condition,
-)
+from .kuramoto import _residual_norm, classify_stability, find_equilibrium, spanning_phase_condition
 from .numerics import REL_TOL, GuardLimitError
 from .structure import cut_identity_sweep, cut_identity_terms, identity_check
 from .sylvester import DEFAULT_N_MAX, DefinitenessVerdict, MinorWitness, VectorWitness
@@ -181,10 +176,9 @@ def _cmd_kuramoto(args) -> int:
         payload["verdict"] = "no phase-locked state found from the given seed"
         _emit(payload, args, time.perf_counter() - started)
         return EXIT_OBSTRUCTION
-    residual = float(np.linalg.norm(rotating_frame_residual(system, xstar)))
     payload["equilibrium"] = {
         "phases": [float(v) for v in xstar],
-        "residual_norm": residual,
+        "residual_norm": _residual_norm(system, xstar),
         "spanning_phase_condition": spanning_phase_condition(system, xstar),
     }
     report = classify_stability(system, xstar, rel=args.tol, n_max=args.nmax)

@@ -80,12 +80,17 @@ class KuramotoSystem:
         return list(self.coupling_graph().edges)
 
     def coupling_graph(self) -> WeightedGraph:
-        i, j = self._coupled_pairs()
-        return WeightedGraph._from_columns(self.n, i, j, self.b[i, j])
+        return WeightedGraph._from_columns(self.n, *self._coupled_pairs)
 
-    def _coupled_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based endpoints i < j of the coupled pairs, in row-major order."""
-        return np.nonzero(np.triu(self.b > 0, 1))
+    @cached_property
+    def _coupled_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """0-based endpoints i < j of the coupled pairs, in row-major order,
+        and their weights; ``b`` is scanned once and the arrays are read-only."""
+        i, j = np.nonzero(np.triu(self.b > 0, 1))
+        pairs = (i, j, self.b[i, j])
+        for column in pairs:
+            column.flags.writeable = False
+        return pairs
 
 
 def wrap_phases(x) -> np.ndarray:
@@ -111,12 +116,38 @@ def rotating_frame_residual(sys: KuramotoSystem, x) -> np.ndarray:
     return sys.omega - sys.mean_frequency + (sys.b * np.sin(diff)).sum(axis=1)
 
 
+def _residual_norm(sys: KuramotoSystem, x) -> float:
+    """Euclidean norm of the residual at ``x``.
+
+    The system keeps the last phase vector asked about (its shape and
+    bytes) with its norm, so a caller that reports the norm at an
+    equilibrium and then asks ``jacobian`` for the linearization there
+    evaluates the residual once.
+    """
+    x = np.asarray(x, dtype=float)
+    key = (x.shape, x.tobytes())
+    last = sys.__dict__.get("_last_residual_norm")
+    if last is not None and last[0] == key:
+        return last[1]
+    norm = float(np.linalg.norm(rotating_frame_residual(sys, x)))
+    object.__setattr__(sys, "_last_residual_norm", (key, norm))
+    return norm
+
+
 def _residual_jacobian(sys: KuramotoSystem, x: np.ndarray) -> np.ndarray:
-    """Jacobian of the residual at any phase vector (symmetric, zero row sums)."""
-    diff = x[None, :] - x[:, None]
-    a = sys.b * np.cos(diff)
-    a = np.triu(a, 1)
-    a = a + a.T
+    """Jacobian of the residual at any phase vector (symmetric, zero row sums).
+
+    Entry (i, j) of a coupled pair is b_ij cos(x_j - x_i), one cosine per
+    pair; every other off-diagonal entry is +0.0 and the diagonal balances
+    each row. For finite phases these are the floats of the dense form
+    (mirror the upper triangle of b * cos(x_j - x_i), the zero added to
+    the empty lower half turning a -0.0 into +0.0, then the same row sums).
+    """
+    i, j, w = sys._coupled_pairs
+    c = w * np.cos(x[j] - x[i]) + 0.0
+    a = np.zeros((sys.n, sys.n))
+    a[i, j] = c
+    a[j, i] = c
     np.fill_diagonal(a, -a.sum(axis=1))
     return a
 
@@ -202,8 +233,7 @@ def _cut_refutes_locking(sys: KuramotoSystem, tol: float) -> bool:
     """
     n = sys.n
     om = sys.omega - sys.mean_frequency
-    i, j = sys._coupled_pairs()
-    weights = sys.b[i, j]
+    i, j, weights = sys._coupled_pairs
     nodes = np.arange(n)
     source, sink = n, n + 1
     in_s = _min_cut_source_side(
@@ -285,10 +315,9 @@ def jacobian(sys: KuramotoSystem, xstar) -> np.ndarray:
     equilibrium (residual below the solver tolerance).
     """
     xstar = np.asarray(xstar, dtype=float)
-    residual = rotating_frame_residual(sys, xstar)
     tol = equilibrium_tolerance(sys)
-    norm = float(np.linalg.norm(residual))
-    if norm >= tol:
+    norm = _residual_norm(sys, xstar)
+    if not norm < tol:  # a NaN norm (phases with NaN or inf) is no equilibrium either
         raise ValueError(f"not an equilibrium: residual norm {norm:.3e} exceeds {tol:.3e}")
     return _residual_jacobian(sys, xstar)
 
@@ -303,7 +332,7 @@ def spanning_phase_condition(sys: KuramotoSystem, xstar) -> bool:
     x = np.asarray(xstar, dtype=float)
     if x.shape != (sys.n,):
         raise ValueError(f"phase vector has shape {x.shape}, expected ({sys.n},)")
-    i, j = sys._coupled_pairs()
+    i, j, _ = sys._coupled_pairs
     near = np.abs(wrap_to_pi(x[j] - x[i])) < math.pi / 2
     labels, _ = _index_forest(sys.n, i[near], j[near])
     return bool(np.all(labels[i] == labels[j]))
@@ -325,7 +354,7 @@ def classify_stability(sys: KuramotoSystem, xstar, *, rel: float = REL_TOL,
         rel=rel,
         n_max=n_max,
         zero_tol=ARITHMETIC_ZERO_TOL,
-        required_components=_classes(_index_forest(sys.n, *sys._coupled_pairs())[0]),
+        required_components=_classes(_index_forest(sys.n, *sys._coupled_pairs[:2])[0]),
     )
     if report.rank_estimate < sys.n - 1 and not report.certified:
         note = f"rank estimate {report.rank_estimate} below {sys.n - 1}: linearization is degenerate"

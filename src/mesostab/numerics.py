@@ -78,37 +78,42 @@ def partial_pivot_dets(a: np.ndarray) -> np.ndarray:
     pick different ones. The first strictly larger |entry| of the
     pivot column wins, so a NaN never wins and a NaN diagonal keeps its
     row. A matrix whose pivot column is entirely zero gets exactly 0.0, so
-    integer matrices with singular blocks give exact zero minors, and takes
-    no further steps. A row is updated only where its multiplier is
-    nonzero, which keeps signed zeros and never forms 0 · inf. Overflow
-    gives inf or NaN silently, as with Python floats.
+    integer matrices with singular blocks give exact zero minors; its later
+    steps still run with the stack but no longer count. A row is updated
+    only where its multiplier is nonzero, which keeps signed zeros and
+    never forms 0 · inf; the last step has no rows below its pivot and
+    updates none. Overflow gives inf or NaN silently, as with Python floats.
     """
     m = np.array(a, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
     shape, n = m.shape[:-2], m.shape[-1]
     m = m.reshape(math.prod(shape), n, n)
-    at = np.arange(len(m))
     det = np.ones(len(m))
-    done = np.zeros(len(m), dtype=bool)
+    singular = np.zeros(len(m), dtype=bool)
     with np.errstate(all="ignore"):
         for k in range(n):
-            # fmax drops a NaN entry below every |entry|; fmin lifts a NaN diagonal above them
-            col = np.fmax(np.abs(m[:, k:, k]), -1.0)
-            col[:, 0] = np.fmin(np.abs(m[:, k, k]), np.inf)
-            piv = col.argmax(axis=1)
-            done |= col[at, piv] == 0.0
-            swap = np.flatnonzero(piv)
+            col = np.abs(m[:, k:, k])
+            # fmin lifts a NaN diagonal above every |entry|; fmax then drops a NaN entry below them
+            col[:, 0] = np.fmin(col[:, 0], np.inf)
+            piv = np.fmax(col, -1.0, out=col).argmax(axis=1)
+            swap = piv.nonzero()[0]
             if swap.size:
-                top = m[swap, k].copy()
-                m[swap, k] = m[swap, k + piv[swap]]
-                m[swap, k + piv[swap]] = top
+                below = k + piv[swap]
+                top = m[swap, k]
+                m[swap, k] = m[swap, below]
+                m[swap, below] = top
                 det[swap] = -det[swap]
             pivot = m[:, k, k]
-            det = np.where(done, 0.0, det * pivot)
-            f = m[:, k + 1:, k, None] / pivot[:, None, None]
-            rest = m[:, k + 1:, k + 1:]
-            np.subtract(rest, f * m[:, k, None, k + 1:], out=rest, where=f != 0.0)
+            # the winner is 0.0 only when no |entry| of the column is larger; that
+            # matrix's det is zeroed at the end, so its later steps do not matter
+            singular |= pivot == 0.0
+            det *= pivot
+            if k + 1 < n:
+                f = m[:, k + 1:, k, None] / pivot[:, None, None]
+                rest = m[:, k + 1:, k + 1:]
+                np.subtract(rest, f * m[:, k, None, k + 1:], out=rest, where=f != 0.0)
+    det[singular] = 0.0
     return det.reshape(shape)
 
 

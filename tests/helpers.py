@@ -22,7 +22,9 @@ bad edge from masks and a stable sort of pair keys. The forest enumerator,
 which merges the outside vertices into one, is held bit for bit to the
 search it replaced, which counted the outside vertices of every class.
 The stacked partial-pivot elimination is held bit for bit to the
-one-matrix loop on Python floats that it replaced.
+one-matrix loop on Python floats that it replaced, and the Kuramoto
+Jacobian built from the coupled pairs to the dense n x n formula it
+replaced.
 """
 
 from __future__ import annotations
@@ -564,3 +566,15 @@ def signed_graph_phase_condition(sys: KuramotoSystem, x) -> bool:
 def coupling_graph_components(sys: KuramotoSystem):
     """Components of the coupling graph, built as a graph."""
     return graph_components(sys.coupling_graph())
+
+
+def dense_residual_jacobian(sys: KuramotoSystem, x) -> np.ndarray:
+    """The Kuramoto Jacobian from n^2 cosines of the dense phase differences:
+    the upper triangle of b_ij cos(x_j - x_i), mirrored, with each row
+    balanced to zero on the diagonal."""
+    x = np.asarray(x, dtype=float)
+    a = sys.b * np.cos(x[None, :] - x[:, None])
+    a = np.triu(a, 1)
+    a = a + a.T
+    np.fill_diagonal(a, -a.sum(axis=1))
+    return a

@@ -15,7 +15,7 @@ import pytest
 from mesostab import WeightedGraph, graphs, laplacian, principal_minor_direct
 from mesostab import cli, kuramoto
 from mesostab.cli import main
-from mesostab.io import format_edge_list, format_kuramoto, format_matrix_csv
+from mesostab.io import format_edge_list, format_kuramoto, format_matrix_csv, parse_kuramoto
 from mesostab.kuramoto import KuramotoSystem
 
 C_TEXT = "0,0,1,-1\n0,-1,1,0\n1,1,-2,0\n-1,0,0,1\n"
@@ -247,6 +247,27 @@ class TestKuramotoCommand:
         captured = capsys.readouterr()
         assert "argument --seed-phases:" in captured.err
         assert captured.out == ""
+
+    def test_lock_takes_one_residual_after_the_search(self, capsys, monkeypatch, tmp_path):
+        # the reported residual_norm and jacobian's equilibrium check share one evaluation
+        rng = np.random.default_rng(5)
+        b = np.zeros((8, 8))
+        for v in range(8):
+            b[v, (v + 1) % 8] = b[(v + 1) % 8, v] = rng.uniform(1.0, 2.0)
+        b[0, 4] = b[4, 0] = 1.5
+        path = tmp_path / "ring.txt"
+        path.write_text(format_kuramoto(KuramotoSystem(rng.uniform(-0.2, 0.2, size=8), b)))
+        system = parse_kuramoto(path.read_text())
+        taken = []
+        residual = kuramoto.rotating_frame_residual
+        monkeypatch.setattr(kuramoto, "rotating_frame_residual", lambda s, x: taken.append(np.array(x)) or residual(s, x))
+        search = cli.find_equilibrium
+        monkeypatch.setattr(cli, "find_equilibrium", lambda s, x0: (search(s, x0), taken.clear())[0])
+        code, payload = run_json(capsys, ["kuramoto", str(path)])
+        assert code == 0 and payload["report"] is not None
+        phases = np.array(payload["equilibrium"]["phases"])
+        assert len(taken) == 1 and np.array_equal(taken[0], phases)
+        assert payload["equilibrium"]["residual_norm"] == float(np.linalg.norm(residual(system, phases)))
 
     def test_op_builds_one_graph(self, capsys, monkeypatch, two_node_file, tmp_path):
         # every WeightedGraph, from edge tuples or from columns, is stored once

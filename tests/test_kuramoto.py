@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_positive_graph
+from helpers import dense_residual_jacobian, random_positive_graph
 from mesostab import kuramoto
 from mesostab import (
     KuramotoSystem,
@@ -75,6 +75,58 @@ class TestSystemValidation:
     def test_mean_frequency(self):
         sys_ = KuramotoSystem(np.array([1.0, 2.0, 6.0]), np.zeros((3, 3)))
         assert sys_.mean_frequency == 3.0
+
+
+class TestCoupledPairs:
+    def test_one_scan_feeds_every_reader(self, monkeypatch):
+        scans = []
+
+        class CountingNumpy:
+            """numpy as the Kuramoto module sees it, counting its ``nonzero`` scans."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def nonzero(self, a):
+                scans.append(np.shape(a))
+                return np.nonzero(a)
+
+        monkeypatch.setattr(kuramoto, "np", CountingNumpy())
+        cached = KuramotoSystem.__dict__["_coupled_pairs"]
+        seen = []
+        monkeypatch.setattr(KuramotoSystem, "_coupled_pairs",
+                            property(lambda s: seen.append(cached.__get__(s)) or seen[-1]))
+        sys_ = random_system(np.random.default_rng(7), 6)
+        x = find_equilibrium(sys_, np.zeros(6))
+        assert x is not None
+        readers = {
+            "coupling_graph": lambda: sys_.coupling_graph(),
+            "spanning_phase_condition": lambda: spanning_phase_condition(sys_, x),
+            "classify_stability": lambda: classify_stability(sys_, x),
+            "_cut_refutes_locking": lambda: kuramoto._cut_refutes_locking(sys_, kuramoto.equilibrium_tolerance(sys_)),
+        }
+        got = {}
+        for name, read in readers.items():
+            seen.clear()
+            read()
+            got[name] = list(seen)
+        assert all(got.values())
+        first = got["coupling_graph"][0]
+        assert all(pairs is first for taken in got.values() for pairs in taken)
+        assert scans == [(6, 6)]
+
+    def test_pairs_are_the_upper_triangle_in_row_major_order(self):
+        sys_ = random_system(np.random.default_rng(11), 7)
+        i, j, w = sys_._coupled_pairs
+        want_i, want_j = np.nonzero(np.triu(sys_.b > 0, 1))
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        assert np.array_equal(w, sys_.b[want_i, want_j])
+
+    def test_cached_pairs_are_read_only(self):
+        sys_ = random_system(np.random.default_rng(13), 5)
+        for column in sys_._coupled_pairs:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
 
 
 class TestPhaseWrapping:
@@ -365,6 +417,60 @@ class TestJacobian:
     def test_rejects_non_equilibrium(self):
         with pytest.raises(ValueError, match="not an equilibrium"):
             jacobian(two_node(), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_phases(self, bad):
+        with np.errstate(invalid="ignore"):
+            for refuse in (jacobian, classify_stability):
+                with pytest.raises(ValueError, match="not an equilibrium: residual norm nan"):
+                    refuse(two_node(), np.array([bad, 0.0]))
+
+    def test_remembered_norm_never_admits_a_non_equilibrium(self, monkeypatch):
+        # the system keeps the last norm it was asked for; a non-equilibrium
+        # is still refused, each time, by jacobian and by classify_stability
+        sys_ = two_node()
+        x = find_equilibrium(sys_, np.array([0.0, 0.1]))
+        residuals = []
+        residual = kuramoto.rotating_frame_residual
+        monkeypatch.setattr(kuramoto, "rotating_frame_residual", lambda s, y: residuals.append(1) or residual(s, y))
+        a = jacobian(sys_, x)
+        for refuse in (jacobian, classify_stability, jacobian):
+            with pytest.raises(ValueError, match="not an equilibrium"):
+                refuse(sys_, np.array([1.0, 0.0]))
+            with pytest.raises(ValueError, match="shape"):
+                refuse(sys_, x[None, :])
+        residuals.clear()
+        assert np.array_equal(jacobian(sys_, x), a)
+        assert classify_stability(sys_, x).verdict == "passes necessary condition"
+        assert residuals == [1]  # classify_stability took the norm that jacobian had just asked for
+
+    def test_equal_to_the_dense_form_on_underflowing_weights(self):
+        # 5e-324 * cos(2) rounds to -0.0; the dense form's mirrored sum turns it into +0.0
+        b = np.array([[0.0, 5e-324, 0.0], [5e-324, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        sys_ = KuramotoSystem(np.zeros(3), b)
+        x = np.array([0.0, 2.0, -1.5])
+        got, want = kuramoto._residual_jacobian(sys_, x), dense_residual_jacobian(sys_, x)
+        assert want[0, 1] == 0.0 and not np.signbit(want[0, 1])
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equal_to_the_dense_form_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 64), label="n")
+        density = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), label="density")
+        scale = 10.0 ** data.draw(st.integers(-6, 6), label="weight exponent")
+        spread = 10.0 ** data.draw(st.integers(-3, 3), label="phase exponent")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        upper = np.triu(rng.random((n, n)) < density, 1) * rng.uniform(0.5, 2.0, size=(n, n)) * scale
+        isolated = rng.random(n) < 0.1
+        upper[isolated] = 0.0
+        upper[:, isolated] = 0.0
+        sys_ = KuramotoSystem(rng.normal(size=n), upper + upper.T)
+        x = rng.uniform(-spread, spread, size=n)
+        x[rng.random(n) < 0.2] = x[0]  # equal phases: cos(0) = 1 exactly
+        got, want = kuramoto._residual_jacobian(sys_, x), dense_residual_jacobian(sys_, x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestClassify:

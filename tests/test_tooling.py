@@ -8,7 +8,9 @@ longer uses would still satisfy that check, so every name a module imports
 must also be used in it (``__init__.py`` only re-exports). A private
 module-level helper must be used somewhere in the package, so that no helper
 stays alive only for the tests. The README's library quick start is read
-the same way and run, so the calls it documents cannot drift.
+the same way and run, so the calls it documents cannot drift. In the
+Kuramoto module only the residual may form the dense n x n phase
+differences; the Jacobian takes one cosine per coupled pair.
 """
 
 import ast
@@ -19,6 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 README = ROOT / "README.md"
+KURAMOTO = ROOT / "src" / "mesostab" / "kuramoto.py"
 
 
 def test_every_traced_name_resolves_on_the_package():
@@ -82,3 +85,36 @@ def test_readme_quick_start_runs():
     namespace: dict = {"__name__": "quick_start"}
     exec(compile(blocks[0], f"{README}:quick start", "exec"), namespace)
     assert namespace["report"].verdict == "passes necessary condition"
+
+
+def _outer_subscript(node: ast.AST, axis: int) -> bool:
+    """True for ``v[None, :]`` when ``axis`` is 0 and for ``v[:, None]`` when it is 1."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple) and len(node.slice.elts) == 2):
+        return False
+    new, full = node.slice.elts[axis], node.slice.elts[1 - axis]
+    return (isinstance(new, ast.Constant) and new.value is None
+            and isinstance(full, ast.Slice) and not any((full.lower, full.upper, full.step)))
+
+
+def _dense_phase_differences(path: Path) -> list[str]:
+    """Top-level definitions in ``path`` that subtract ``v[:, None]`` from
+    ``v[None, :]``, or the other way round: an n x n difference matrix."""
+    found = []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and (
+                    (_outer_subscript(node.left, 0) and _outer_subscript(node.right, 1))
+                    or (_outer_subscript(node.left, 1) and _outer_subscript(node.right, 0))):
+                found.append(getattr(top, "name", "<module>"))
+                break
+    return found
+
+
+def test_only_the_residual_forms_dense_phase_differences(tmp_path):
+    assert _dense_phase_differences(KURAMOTO) == ["rotating_frame_residual"]
+    # the check itself: both orientations are flagged, a per-pair difference is not
+    sample = tmp_path / "sample.py"
+    sample.write_text("def residual(x):\n    return np.sin(x[None, :] - x[:, None])\n\n\n"
+                      "def jacobian(x):\n    return np.cos(x[:, None] - x[None, :])\n\n\n"
+                      "def per_pair(x, i, j):\n    return np.cos(x[j] - x[i])\n")
+    assert _dense_phase_differences(sample) == ["residual", "jacobian"]
