@@ -4,8 +4,10 @@ Exit codes: 0 when the analysis completes and the necessary conditions
 pass, 1 when an obstruction (or non-convergence) is found, 2 for input or
 guard errors, for inputs too large to allocate and for inputs whose
 weighted degrees or cut identity overflow. JSON output is
-byte-identical for identical inputs and options; wall-clock timings
-therefore appear only in text output.
+byte-identical for identical inputs and options on the same interpreter,
+the same numpy/BLAS build and the same BLAS thread count (``kuramoto``
+phases go through BLAS, whose sums depend on the thread count); wall-clock
+timings therefore appear only in text output.
 """
 
 from __future__ import annotations

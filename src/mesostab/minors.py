@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,22 +31,50 @@ from .numerics import GuardLimitError, det_bareiss, det_partial_pivot, partial_p
 CHECK_SLICE = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ForestFamily:
     """All size-|S| edge subsets whose components each leave S.
 
     Every member is a forest and each of its trees contains exactly one
-    vertex outside ``subset``.
+    vertex outside ``subset``. A family from ``enumerate_forest_family``
+    keeps the search's edge-index tuples and weight products; ``len`` and
+    ``weight_sum`` read those, and the ``EdgeSubset`` members are built on
+    the first read of ``members`` and cached.
     """
 
     subset: tuple[int, ...]
+    # A field, so eq, hash and repr are those of (subset, members); its class attribute is the cached builder.
     members: tuple[EdgeSubset, ...]
 
+    def __init__(self, subset: tuple[int, ...], members: Iterable[EdgeSubset]):
+        members = tuple(members)
+        self._store(subset, None, (), tuple(k.weight_product() for k in members))
+        object.__setattr__(self, "members", members)
+
+    @classmethod
+    def _from_leaves(cls, host: WeightedGraph, subset: tuple[int, ...],
+                     paths: tuple[tuple[int, ...], ...], products: tuple[float, ...]) -> ForestFamily:
+        """Family of the search's member index tuples (ascending) and their weight products, unchecked."""
+        family = object.__new__(cls)
+        family._store(subset, host, paths, products)
+        return family
+
+    def _store(self, subset, host, paths, products) -> None:
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "_host", host)
+        object.__setattr__(self, "_paths", paths)
+        object.__setattr__(self, "_products", products)
+
+    @cached_property
+    def members(self) -> tuple[EdgeSubset, ...]:
+        return tuple(EdgeSubset._trusted(self._host, frozenset(indices)) for indices in self._paths)
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._products)
 
     def weight_sum(self) -> float:
-        return math.fsum(k.weight_product() for k in self.members)
+        # Each product multiplies in ascending edge-index order from 1, as EdgeSubset.weight_product does.
+        return math.fsum(self._products)
 
 
 def _subset_stack(s, n: int) -> np.ndarray:
@@ -106,11 +135,12 @@ def _forest_leaves(n: int, candidates: Sequence[tuple[int, int, int, float]],
     parent = [root if v in special else v for v in range(n + 1)]
     # an edge between two special vertices is a loop of the merged graph
     candidates = [c for c in candidates if c[1] not in special or c[2] not in special]
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            v = parent[v]
-        return v
+    # Columns as local lists, and both roots walked inline: the search runs
+    # these lines once per candidate at every node, so a call per find shows.
+    index = [c[0] for c in candidates]
+    first = [c[1] for c in candidates]
+    second = [c[2] for c in candidates]
+    weight = [c[3] for c in candidates]
 
     m = len(candidates)
     leaves: list[tuple[tuple[int, ...], float]] = []
@@ -121,13 +151,17 @@ def _forest_leaves(n: int, candidates: Sequence[tuple[int, int, int, float]],
             leaves.append((tuple(path), prod))
             return
         for t in range(pos, m - (size - chosen) + 1):
-            idx, i, j, w = candidates[t]
-            ri, rj = find(i), find(j)
+            ri = first[t]
+            while parent[ri] != ri:
+                ri = parent[ri]
+            rj = second[t]
+            while parent[rj] != rj:
+                rj = parent[rj]
             if ri == rj:
                 continue  # would close a cycle of the merged graph
             parent[rj] = ri
-            path.append(idx)
-            descend(t + 1, chosen + 1, prod * w)
+            path.append(index[t])
+            descend(t + 1, chosen + 1, prod * weight[t])
             path.pop()
             parent[rj] = rj
 
@@ -182,15 +216,19 @@ def enumerate_forest_family(g: WeightedGraph, s: Iterable[int]) -> ForestFamily:
 
     Members are returned in lexicographic edge-index order. Each member is
     re-validated, ``CHECK_SLICE`` members at a time: it must be a forest and
-    each of its trees must contain exactly one vertex outside ``s``.
+    each of its trees must contain exactly one vertex outside ``s``. The
+    family keeps the members' edge indices and weight products; their
+    ``EdgeSubset`` objects are built only when ``members`` is read.
     """
     subset = _vertex_subset(s, g.n, allow_empty=False)
     _require_edge_guard(g)
-    paths = [indices for indices, _ in _family_leaves(g, subset)]
-    # Checked before the members are built, so the check's arrays never add to their memory.
+    leaves = _family_leaves(g, subset)
+    paths = tuple(indices for indices, _ in leaves)
+    products = tuple(prod for _, prod in leaves)
+    del leaves  # the pairs go before the check, so they never add to its peak
     for start in range(0, len(paths), CHECK_SLICE):
         _check_members(g, subset, paths[start:start + CHECK_SLICE])
-    return ForestFamily(subset, tuple(EdgeSubset._trusted(g, frozenset(indices)) for indices in paths))
+    return ForestFamily._from_leaves(g, subset, paths, products)
 
 
 def principal_minor_combinatorial(g: WeightedGraph, s: Iterable[int]) -> float:

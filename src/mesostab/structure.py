@@ -314,8 +314,9 @@ def verify_cut_identity(g: WeightedGraph, v1: Iterable[int]) -> float:
 
 class IdentityCheck(NamedTuple):
     """The cut identity checked on one side: the ``math.fsum`` of its terms,
-    the sum of their magnitudes in term order, and whether the residual is
-    within ``tolerance = tol · max(1, term_scale)``."""
+    the ``math.fsum`` of their magnitudes, and whether the residual is within
+    ``tolerance = tol · max(1, term_scale)``. Both sums are correctly rounded,
+    so neither depends on the interpreter's builtin ``sum``."""
 
     residual: float
     term_scale: float
@@ -338,9 +339,10 @@ def identity_check(side: tuple[int, ...], terms: list[float], tol: float = REL_T
         residual = math.fsum(terms)
     except OverflowError:
         raise overflow("the residual") from None
-    scale = sum(abs(t) for t in terms)
-    if not math.isfinite(scale):
-        raise overflow("the term scale")
+    try:
+        scale = math.fsum(map(abs, terms))
+    except OverflowError:
+        raise overflow("the term scale") from None
     tolerance = tol * max(1.0, scale)
     return IdentityCheck(residual, scale, tolerance, abs(residual) <= tolerance)
 

@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from helpers import (
 )
 from mesostab import (
     EdgeSubset,
+    ForestFamily,
     WeightedGraph,
     cauchy_binet_expand,
     coates_graph,
@@ -234,6 +237,52 @@ class TestForestFamily:
         assert len(fam) > 0 and value != 0.0
         assert garbage == []
 
+    def test_len_and_weight_sum_build_no_member(self, monkeypatch):
+        built = _counted_members(monkeypatch)
+        fam = enumerate_forest_family(complete_graph(6), [1, 2, 3, 4])
+        assert (len(fam), fam.weight_sum()) == (432, 432.0)
+        assert built == []
+
+    def test_members_are_built_once_on_first_read(self, monkeypatch):
+        built = _counted_members(monkeypatch)
+        fam = enumerate_forest_family(complete_graph(6), [1, 2, 3, 4])
+        members = fam.members
+        assert len(members) == 432
+        assert built == [k.members for k in members]
+        assert fam.members is members
+
+    def test_families_compare_by_subset_and_members(self):
+        g = random_signed_graph(np.random.default_rng(3), 6, 10)
+        fam = enumerate_forest_family(g, [1, 2, 3])
+        again = enumerate_forest_family(WeightedGraph(g.n, g.edges), [1, 2, 3])
+        assert fam == again and hash(fam) == hash(again)
+        rebuilt = ForestFamily(fam.subset, fam.members)
+        assert rebuilt == fam and (len(rebuilt), rebuilt.weight_sum()) == (len(fam), fam.weight_sum())
+        assert fam != enumerate_forest_family(g, [1, 2, 4])
+        assert fam != ForestFamily((1, 2, 4), fam.members)
+        assert fam != ForestFamily(fam.subset, fam.members[1:])
+        doubled = WeightedGraph(g.n, tuple((i, j, 2.0 * w) for i, j, w in g.edges))
+        assert fam != enumerate_forest_family(doubled, [1, 2, 3])
+        assert fam != (fam.subset, fam.members)
+
+    def test_weight_sum_peak_memory_is_below_half_of_reading_members(self):
+        # A 16-vertex, 28-edge graph with a 3,168-member family, the size of the benchmark's forest ops.
+        g = random_signed_graph(np.random.default_rng(131), 16, 28)
+        s = list(range(1, 9))
+
+        def peak(read_members: bool) -> int:
+            tracemalloc.start()
+            try:
+                fam = enumerate_forest_family(g, s)
+                fam.weight_sum()
+                if read_members:
+                    assert len(fam.members) == 3168
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(False) < peak(True) / 2
+
     def test_matches_brute_force_for_every_subset(self):
         # Connected and disconnected graphs, loops placed anywhere in the edge list.
         rng = np.random.default_rng(43)
@@ -266,6 +315,19 @@ class TestForestFamily:
             with pytest.raises(GuardLimitError, match="got 820$"):
                 f(g, [1])
         assert "edges" not in vars(g)
+
+
+def _counted_members(monkeypatch) -> list[frozenset[int]]:
+    """Record the edge set of every ``EdgeSubset`` the package builds unchecked."""
+    built = []
+    trusted = EdgeSubset._trusted.__func__
+
+    def counting(cls, host, members):
+        built.append(members)
+        return trusted(cls, host, members)
+
+    monkeypatch.setattr(EdgeSubset, "_trusted", classmethod(counting))
+    return built
 
 
 def complete_graph(n):
@@ -324,6 +386,51 @@ def test_merged_enumerator_matches_marked_oracle_bit_for_bit(case):
         got = minors._forest_leaves(g.n, candidates, special, size)
         expected = marked_forest_leaves(g.n, candidates, special, size)
         assert [(m, p.hex()) for m, p in got] == [(m, p.hex()) for m, p in expected]
+
+
+@st.composite
+def wide_range_families(draw):
+    """A signed graph on at most 9 vertices and 20 edges with |weights| from
+    1e-150 to 1e150, so that some products overflow or underflow, and a
+    vertex set S of one vertex up to all of them."""
+    n = draw(st.integers(1, 9))
+    every = list(itertools.combinations(range(1, n + 1), 2))
+    pairs = draw(st.lists(st.sampled_from(every), unique=True, max_size=20)) if every else []
+    weights = draw(st.lists(st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e),
+                            min_size=len(pairs), max_size=len(pairs)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(pairs), max_size=len(pairs)))
+    g = WeightedGraph(n, tuple((i, j, x * w) for (i, j), x, w in zip(pairs, signs, weights)))
+    s = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1))))
+    return g, s
+
+
+def _outcome(f):
+    """``f()``'s float as hex, or the type of what it raised: an fsum over
+    inf and -inf raises ValueError, one that overflows OverflowError."""
+    try:
+        return f().hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_range_families())
+# a 4-cycle with one negative edge: its spanning trees weigh +inf and -inf, or underflow to ±0
+@example((WeightedGraph(4, ((1, 2, 1e150), (2, 3, 1e150), (3, 4, 1e150), (1, 4, -1e150))), (1, 2, 3)))
+@example((WeightedGraph(4, ((1, 2, 1e-150), (2, 3, 1e-150), (3, 4, 1e-150), (1, 4, -1e-150))), (1, 2, 3)))
+def test_lazy_family_matches_oracle_bit_for_bit(case):
+    g, s = case
+    rows = [v - 1 for v in s]
+    unit = laplacian(WeightedGraph(g.n, tuple((i, j, 1.0) for i, j, _ in g.edges)))
+    # the member count, by the all-minors matrix-tree theorem
+    assume(np.linalg.det(unit[np.ix_(rows, rows)]) <= 5000)
+    oracle = marked_forest_leaves(g.n, list(g.simple_edges()), set(g.vertices) - set(s), len(s))
+    fam = enumerate_forest_family(g, s)
+    weight_sum = _outcome(fam.weight_sum)
+    assert len(fam) == len(oracle)
+    assert [k.sorted_members() for k in fam.members] == [m for m, _ in oracle]
+    assert weight_sum == _outcome(lambda: math.fsum(k.weight_product() for k in fam.members))
+    assert _outcome(lambda: principal_minor_combinatorial(g, s)) == _outcome(lambda: math.fsum(p for _, p in oracle))
 
 
 class TestFamilyCheck:

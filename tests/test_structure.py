@@ -1,6 +1,7 @@
 """Spanning trees, negative cuts, the cut identity, and line bounds."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from mesostab import (
     principal_minor_direct,
     verify_cut_identity,
 )
+from mesostab.structure import identity_check
 
 
 def psd_with_negative_edges(rng, n):
@@ -254,6 +256,17 @@ class TestCutIdentity:
                     terms = cut_identity_terms(g, side)
                     scale = sum(abs(t) for t in terms)
                     assert abs(verify_cut_identity(g, side)) <= 1e-9 * max(1.0, scale)
+
+    def test_term_scale_is_the_correctly_rounded_sum_of_magnitudes(self):
+        # Summed left to right these magnitudes give 1.0, compensated (builtin
+        # sum from CPython 3.12 on) and correctly rounded 1 + 2**-52, so a
+        # builtin sum would make the scale depend on the interpreter.
+        terms = [1.0, -1e-16, 1e-16]
+        assert (1.0 + 1e-16) + 1e-16 == 1.0
+        check = identity_check((1,), terms, tol=0.5)
+        assert check.term_scale == math.fsum(map(abs, terms)) == 1.0 + 2.0 ** -52
+        assert check.tolerance == 0.5 * (1.0 + 2.0 ** -52)
+        assert check.residual == 1.0 and not check.within_tolerance
 
     def test_disconnected_across_the_cut(self):
         g = WeightedGraph(4, ((1, 2, 2.0), (3, 4, -1.0)))
