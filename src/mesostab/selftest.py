@@ -3,7 +3,8 @@
 A condensed, seeded version of the oracle comparisons the test suite runs:
 forest sums against direct determinants, the five-way agreement of the
 maximal-rank tests, the alternating cut identity, spanning-tree/negative-cut
-duality, and the two-oscillator closed form.
+duality, the two-oscillator closed form, and the min cut that refutes
+locking of a pair beyond its coupling.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from .graphs import WeightedGraph, laplacian
-from .kuramoto import KuramotoSystem, find_equilibrium, jacobian
+from .kuramoto import KuramotoSystem, _cut_refutes_locking, equilibrium_tolerance, find_equilibrium, jacobian
 from .minors import principal_minor_combinatorial, principal_minor_direct
 from .structure import cut_identity_sweep, identity_check, positive_spanning_tree
 from .sylvester import check_equivalences
@@ -116,6 +117,19 @@ def _check_two_oscillators() -> int:
     return 0 if abs(w[0] + 2 * math.cos(phi)) < 1e-8 and abs(w[1]) < 1e-10 else 1
 
 
+def _check_unlockable_pair() -> int:
+    """A pair with coupling b = 1 locks iff |omega_1 - omega_2| <= 2b: beyond
+    it the search finds nothing and the cut refutes; just inside, it must not."""
+    failures = 0
+    for gap, lockable in ((3.0, False), (1.998, True)):
+        sys_ = KuramotoSystem(np.array([gap / 2, -gap / 2]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        refuted = _cut_refutes_locking(sys_, equilibrium_tolerance(sys_))
+        failures += refuted == lockable
+        if not lockable:
+            failures += find_equilibrium(sys_, np.array([0.0, 0.1])) is not None
+    return failures
+
+
 def run_self_test() -> int:
     """Run every check, print a PASS or FAIL line for each, and return the failure count."""
     rng = np.random.default_rng(20240801)
@@ -125,6 +139,7 @@ def run_self_test() -> int:
         ("alternating cut identity", lambda: _check_identity(rng, 10)),
         ("spanning tree / negative cut duality", lambda: _check_duality(rng, 50)),
         ("two-oscillator closed form", _check_two_oscillators),
+        ("min cut refutes an unlockable pair", _check_unlockable_pair),
     ]
     total = 0
     for name, fn in checks:

@@ -24,7 +24,8 @@ search it replaced, which counted the outside vertices of every class.
 The stacked partial-pivot elimination is held bit for bit to the
 one-matrix loop on Python floats that it replaced, and the Kuramoto
 Jacobian built from the coupled pairs to the dense n x n formula it
-replaced.
+replaced. Ring systems take their coupling from the arc bound, which no
+system scaled below it can lock.
 """
 
 from __future__ import annotations
@@ -578,3 +579,37 @@ def dense_residual_jacobian(sys: KuramotoSystem, x) -> np.ndarray:
     a = a + a.T
     np.fill_diagonal(a, -a.sum(axis=1))
     return a
+
+
+def ring_system(rng, n, factor, chords=0):
+    """Ring of ``n`` oscillators plus ``chords`` random chords, coupled at
+    ``factor`` times the arc lock bound (``ring_arc_bound``)."""
+    omega = rng.normal(scale=0.5, size=n)
+    b = np.zeros((n, n))
+    idx = np.arange(n)
+    b[idx, (idx + 1) % n] = rng.uniform(0.5, 1.5, size=n)
+    added = 0
+    while added < chords:
+        i, j = (int(v) for v in rng.integers(0, n, 2))
+        if i != j and b[i, j] == 0.0 and b[j, i] == 0.0:
+            b[i, j] = rng.uniform(0.5, 1.5)
+            added += 1
+    b = b + b.T
+    return KuramotoSystem(omega, b * (ring_arc_bound(omega, b) * factor))
+
+
+def ring_arc_bound(omega, b):
+    """Largest |sum of centred frequencies| / crossing coupling over the arcs
+    of the ring 0, 1, ..., n - 1. Summing the equilibrium equations over an
+    arc cancels the coupling inside it, so a coupling scaled by a factor
+    below 1 leaves no phase-locked state."""
+    n = omega.size
+    om = omega - omega.mean()
+    best = 0.0
+    for first in range(n):
+        for length in range(1, n):
+            arc = [(first + t) % n for t in range(length)]
+            rest = [(first + t) % n for t in range(length, n)]
+            crossing = b[np.ix_(arc, rest)].sum()
+            best = max(best, abs(math.fsum(om[arc])) / crossing)
+    return best

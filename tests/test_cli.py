@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import ring_system
 from mesostab import WeightedGraph, graphs, laplacian, principal_minor_direct
 from mesostab import cli, kuramoto
 from mesostab.cli import main
@@ -208,16 +209,25 @@ class TestKuramotoCommand:
     def test_refusal_by_the_cut_leaves_output_and_exit_code_unchanged(self, tmp_path):
         # The cut ends the search before its first step when its trigger is 0,
         # and never runs when the trigger is the iteration cap.
-        sys_ = KuramotoSystem(np.array([1.5, -1.5]), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        path = tmp_path / "nolock.txt"
-        path.write_text(format_kuramoto(sys_))
         script = ("import sys; from mesostab import cli, kuramoto; "
                   "kuramoto.NEWTON_CUT_AFTER = int(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))")
-        runs = [subprocess.run([sys.executable, "-c", script, str(after), "--format", "json", "kuramoto", str(path)],
-                               capture_output=True, text=True, env=src_env())
-                for after in (0, kuramoto.NEWTON_MAX_ITER)]
-        assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(1, runs[1].stdout, "")] * 2
-        assert json.loads(runs[0].stdout)["verdict"] == "no phase-locked state found from the given seed"
+
+        def runs(sys_, triggers):
+            path = tmp_path / "nolock.txt"
+            path.write_text(format_kuramoto(sys_))
+            return [subprocess.run([sys.executable, "-c", script, str(after), "--format", "json", "kuramoto",
+                                    str(path)], capture_output=True, text=True, env=src_env())
+                    for after in triggers]
+
+        pair = runs(KuramotoSystem(np.array([1.5, -1.5]), np.array([[0.0, 1.0], [1.0, 0.0]])),
+                    (0, kuramoto.NEWTON_MAX_ITER))
+        assert [(r.returncode, r.stdout, r.stderr) for r in pair] == [(1, pair[1].stdout, "")] * 2
+        assert json.loads(pair[0].stdout)["verdict"] == "no phase-locked state found from the given seed"
+        # a ring with chords below its arc bound, as the benchmark's non-locking searches
+        ring = runs(ring_system(np.random.default_rng(139), 48, 0.85, chords=4),
+                    (0, kuramoto.NEWTON_CUT_AFTER, 24, kuramoto.NEWTON_MAX_ITER))
+        assert [(r.returncode, r.stdout) for r in ring] == [(1, ring[0].stdout)] * 4
+        assert json.loads(ring[0].stdout)["equilibrium"] is None
 
     def test_allocation_failure_exits_two(self, capsys, monkeypatch, two_node_file):
         # Raised by a stand-in parser: a real allocation of this size could get
@@ -444,4 +454,4 @@ class TestTextOutput:
 def test_self_test_command(capsys):
     assert main(["self-test"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6

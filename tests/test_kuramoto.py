@@ -2,13 +2,14 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_residual_jacobian, random_positive_graph
+from helpers import dense_residual_jacobian, random_positive_graph, ring_system
 from mesostab import kuramoto
 from mesostab import (
     KuramotoSystem,
@@ -219,30 +220,6 @@ class TestFindEquilibrium:
         assert np.linalg.norm(rotating_frame_residual(sys_iso, x)) < 1e-10
 
 
-def ring_system(rng, n, factor):
-    """Ring of ``n`` oscillators whose coupling is ``factor`` times the ring-arc lock bound."""
-    omega = rng.normal(scale=0.5, size=n)
-    b = np.zeros((n, n))
-    idx = np.arange(n)
-    b[idx, (idx + 1) % n] = rng.uniform(0.5, 1.5, size=n)
-    b = b + b.T
-    return KuramotoSystem(omega, b * (ring_arc_bound(omega, b) * factor))
-
-
-def ring_arc_bound(omega, b):
-    """Largest |sum of centred frequencies| / crossing coupling over the arcs of a ring."""
-    n = omega.size
-    om = omega - omega.mean()
-    best = 0.0
-    for first in range(n):
-        for length in range(1, n):
-            last = (first + length - 1) % n
-            arc = [(first + t) % n for t in range(length)]
-            crossing = b[(first - 1) % n, first] + b[last, (last + 1) % n]
-            best = max(best, abs(math.fsum(om[arc])) / crossing)
-    return best
-
-
 def brute_force_excess(sys_):
     """Largest |sum_S (omega - mean)| - (coupling crossing S) over all 2^n vertex sets S."""
     n = sys_.n
@@ -266,6 +243,22 @@ def small_systems(draw):
     b = np.zeros((n, n))
     b[np.triu_indices(n, 1)] = upper
     return KuramotoSystem(omega * scale, (b + b.T) * scale)
+
+
+def searches_at_every_trigger(sys_, x0):
+    """``find_equilibrium`` from ``x0`` with the cut run at each trigger in turn."""
+    results = []
+    for after in (0, 1, 3, 14, 24, kuramoto.NEWTON_MAX_ITER):
+        with mock.patch.object(kuramoto, "NEWTON_CUT_AFTER", after):
+            results.append(find_equilibrium(sys_, x0))
+    return results
+
+
+def assert_trigger_invariant(results):
+    if results[0] is None:
+        assert all(x is None for x in results)
+    else:
+        assert all(x is not None and x.tobytes() == results[0].tobytes() for x in results)
 
 
 class TestLockingCut:
@@ -313,6 +306,25 @@ class TestLockingCut:
             outcomes.add(factor < 1.0)
             assert refutes(sys_) == (factor < 1.0)
         assert outcomes == {True, False}
+
+    # A refusal proves that no float iterate passes the residual test, so
+    # the trigger changes only how soon a hopeless search stops.
+    @settings(max_examples=60, deadline=None)
+    @given(small_systems(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_trigger_never_changes_the_result(self, sys_, seed):
+        x0 = np.random.default_rng(seed).uniform(0, 2 * math.pi, size=sys_.n)
+        for start in (np.zeros(sys_.n), x0):
+            assert_trigger_invariant(searches_at_every_trigger(sys_, start))
+
+    def test_trigger_never_changes_the_result_on_rings(self):
+        rng = np.random.default_rng(137)
+        outcomes = []
+        for n, factor in ((12, 0.85), (12, 1.6), (24, 0.9), (24, 2.0), (48, 0.85), (48, 1.5)):
+            sys_ = ring_system(rng, n, factor, chords=n // 10)
+            results = searches_at_every_trigger(sys_, np.zeros(n))
+            assert_trigger_invariant(results)
+            outcomes.append((results[0] is None, refutes(sys_)))
+        assert (True, True) in outcomes and (False, False) in outcomes
 
     def test_never_refuses_a_system_newton_locks(self, monkeypatch):
         monkeypatch.setattr(kuramoto, "NEWTON_CUT_AFTER", kuramoto.NEWTON_MAX_ITER)

@@ -10,7 +10,9 @@ module-level helper must be used somewhere in the package, so that no helper
 stays alive only for the tests. The README's library quick start is read
 the same way and run, so the calls it documents cannot drift. In the
 Kuramoto module only the residual may form the dense n x n phase
-differences; the Jacobian takes one cosine per coupled pair.
+differences; the Jacobian takes one cosine per coupled pair. A number the
+README gives for a module-level constant, as `NAME` = N or `NAME` (N, must
+be the constant's value.
 """
 
 import ast
@@ -21,7 +23,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 README = ROOT / "README.md"
-KURAMOTO = ROOT / "src" / "mesostab" / "kuramoto.py"
+PACKAGE = ROOT / "src" / "mesostab"
+KURAMOTO = PACKAGE / "kuramoto.py"
 
 
 def test_every_traced_name_resolves_on_the_package():
@@ -45,7 +48,7 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_every_imported_name_is_used_by_its_module():
-    modules = sorted((ROOT / "src" / "mesostab").glob("*.py"))
+    modules = sorted(PACKAGE.glob("*.py"))
     unused = {path.name: names for path in modules if path.name != "__init__.py" and (names := _unused_imports(path))}
     assert len(modules) > 1 and unused == {}
 
@@ -70,7 +73,7 @@ def _unreferenced_private_helpers(modules: list[Path]) -> list[str]:
 
 
 def test_every_private_helper_is_used_in_the_package(tmp_path):
-    modules = sorted((ROOT / "src" / "mesostab").glob("*.py"))
+    modules = sorted(PACKAGE.glob("*.py"))
     assert _unreferenced_private_helpers(modules) == []
     # the check itself: a helper used only by its own recursion, and one used nowhere
     sample = tmp_path / "sample.py"
@@ -118,3 +121,32 @@ def test_only_the_residual_forms_dense_phase_differences(tmp_path):
                       "def jacobian(x):\n    return np.cos(x[:, None] - x[None, :])\n\n\n"
                       "def per_pair(x, i, j):\n    return np.cos(x[j] - x[i])\n")
     assert _dense_phase_differences(sample) == ["residual", "jacobian"]
+
+
+def _module_int_constants(modules: list[Path]) -> dict[str, int]:
+    """Upper-case names bound to an int literal at module level in ``modules``."""
+    constants = {}
+    for path in modules:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+                    and re.fullmatch(r"[A-Z][A-Z0-9_]*", node.targets[0].id)
+                    and isinstance(node.value, ast.Constant) and type(node.value.value) is int):
+                constants[node.targets[0].id] = node.value.value
+    return constants
+
+
+def _cited_constants(text: str, constants: dict[str, int]) -> list[tuple[str, int]]:
+    """Each `NAME` = N or `NAME` (N in ``text`` whose NAME is in ``constants``."""
+    return [(name, int(number)) for name, number in re.findall(r"`([A-Z][A-Z0-9_]*)`(?: = | \()(\d+)", text)
+            if name in constants]
+
+
+def test_readme_numbers_match_the_constants_they_name():
+    constants = _module_int_constants(sorted(PACKAGE.glob("*.py")))
+    cited = _cited_constants(README.read_text(), constants)
+    assert {"NEWTON_CUT_AFTER", "CHECK_SLICE"} <= {name for name, _ in cited}
+    assert [(name, number, constants[name]) for name, number in cited if number != constants[name]] == []
+    # the check itself: both forms are read, and a name that is no constant is skipped
+    stale = constants["NEWTON_CUT_AFTER"] + 10
+    sample = f"after `NEWTON_CUT_AFTER` = {stale} iterations, `CHECK_SLICE` (256) members, `NO_SUCH_NAME` = 3"
+    assert _cited_constants(sample, constants) == [("NEWTON_CUT_AFTER", stale), ("CHECK_SLICE", 256)]
