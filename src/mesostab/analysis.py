@@ -33,8 +33,6 @@ PASSES = "passes necessary condition"
 FAILS = "fails necessary condition"
 DEGENERATE = "degenerate"
 
-ARITHMETIC_ZERO_TOL = 1e-12
-
 
 @dataclass
 class StabilityReport:
@@ -57,16 +55,12 @@ class StabilityReport:
         return self.verdict == PASSES
 
 
-def analyze_matrix(a: np.ndarray, *, rel: float = REL_TOL, n_max: int = DEFAULT_N_MAX,
-                   zero_tol: float = 0.0,
-                   required_components: Optional[list[frozenset[int]]] = None) -> StabilityReport:
+def analyze_matrix(a: np.ndarray, *, rel: float = REL_TOL, n_max: int = DEFAULT_N_MAX) -> StabilityReport:
     """Run the full pipeline on a symmetric zero-row-sum matrix ``a``.
 
-    ``zero_tol`` is handed to the graph construction (use a small cutoff for
-    matrices produced by arithmetic). ``required_components`` overrides the
-    vertex partition that the positive spanning forest has to cover, which
-    callers with a physical coupling network use to pin the spanning test to
-    that network.
+    The structural scans read the exact graph of ``a``: every nonzero
+    off-diagonal entry is an edge, however small, so that the forest, the
+    cut and the lines speak about the same floats as the certificate.
     """
     # The certificate validates -a, which is symmetric with zero row sums exactly when a is.
     a = np.asarray(a, dtype=float)
@@ -83,8 +77,8 @@ def analyze_matrix(a: np.ndarray, *, rel: float = REL_TOL, n_max: int = DEFAULT_
         else:
             notes.append(f"exhaustive minor sweep skipped: n={n} exceeds n_max={n_max}")
 
-    g = coates_graph(a, zero_tol=zero_tol)
-    forest = _positive_spanning_forest(g, required_components)
+    g = coates_graph(a)
+    forest = _positive_spanning_forest(g)
     spanning = _edge_tuples(g, forest.sorted_members()) if forest is not None else None
     cut = find_negative_cut(g) if forest is None else None
     cut_edges_list = _edge_tuples(g, cut_edges(g, cut).sorted_members()) if cut is not None else ()

@@ -91,7 +91,7 @@ def _report_dict(report: StabilityReport) -> dict:
 
 def _emit(payload: dict, args, elapsed: float) -> None:
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False))
         return
     _print_text(payload, elapsed)
 

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import ARITHMETIC_ZERO_TOL, DEGENERATE, StabilityReport, analyze_matrix
-from .graphs import WeightedGraph, _classes, _index_forest
+from .analysis import DEGENERATE, StabilityReport, analyze_matrix
+from .graphs import WeightedGraph, _index_forest
 from .numerics import REL_TOL
 from .sylvester import DEFAULT_N_MAX
 
@@ -95,12 +95,14 @@ class KuramotoSystem:
 
 def wrap_phases(x) -> np.ndarray:
     """Reduce phases componentwise to [0, 2*pi)."""
-    return np.mod(np.asarray(x, dtype=float), 2.0 * math.pi)
+    r = np.mod(np.asarray(x, dtype=float), 2.0 * math.pi)
+    # A tiny negative phase leaves a remainder that rounds up to 2*pi itself.
+    return np.where(r == 2.0 * math.pi, 0.0, r)[()]
 
 
 def wrap_to_pi(d):
     """Reduce phase differences to (-pi, pi]."""
-    return math.pi - np.remainder(math.pi - np.asarray(d, dtype=float), 2.0 * math.pi)
+    return math.pi - wrap_phases(math.pi - np.asarray(d, dtype=float))
 
 
 def equilibrium_tolerance(sys: KuramotoSystem) -> float:
@@ -296,17 +298,21 @@ def find_equilibrium(sys: KuramotoSystem, x0) -> Optional[np.ndarray]:
             logger.warning("singular gauge-fixed Jacobian at an iterate; using least-squares step")
             step = np.linalg.lstsq(jac, rhs, rcond=None)[0]
         scale = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS):
-            trial = x.copy()
-            trial[:-1] += scale * step
-            trial_r = rotating_frame_residual(sys, trial)
-            trial_norm = float(np.linalg.norm(trial_r))
-            if trial_norm < norm:
-                x, r, norm = trial, trial_r, trial_norm
-                break
-            scale *= 0.5
-        else:
-            return None  # no damped step made progress
+        # Subnormal coupling can make the step overflow the phases or their
+        # differences; such a trial's residual norm is NaN, which is never
+        # below norm, so it is halved like any other rejected trial.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(NEWTON_MAX_HALVINGS):
+                trial = x.copy()
+                trial[:-1] += scale * step
+                trial_r = rotating_frame_residual(sys, trial)
+                trial_norm = float(np.linalg.norm(trial_r))
+                if trial_norm < norm:
+                    x, r, norm = trial, trial_r, trial_norm
+                    break
+                scale *= 0.5
+            else:
+                return None  # no damped step made progress
     return wrap_phases(x) if norm < tol else None
 
 
@@ -347,18 +353,15 @@ def classify_stability(sys: KuramotoSystem, xstar, *, rel: float = REL_TOL,
 
     Degenerate linearizations (zero eigenvalue not simple) are reported as such
     unless a witness shows instability; the negated Jacobian goes through the
-    minor certificate and the Jacobian's graph through the structural scans.
-    Passing means the necessary linear-stability condition holds; attractivity
-    is out of scope and is never claimed.
+    minor certificate and the Jacobian's exact graph through the structural
+    scans. That graph is the coupling graph with each pair signed by its
+    cosine: an uncoupled pair's entry is exactly +0.0, and a coupled pair's
+    is nonzero unless b_ij cos(x_j - x_i) underflows, so its components are
+    the coupling components at any coupling scale. Passing means the
+    necessary linear-stability condition holds; attractivity is out of scope
+    and is never claimed.
     """
-    a = jacobian(sys, xstar)
-    report = analyze_matrix(
-        a,
-        rel=rel,
-        n_max=n_max,
-        zero_tol=ARITHMETIC_ZERO_TOL,
-        required_components=_classes(_index_forest(sys.n, *sys._coupled_pairs[:2])[0]),
-    )
+    report = analyze_matrix(jacobian(sys, xstar), rel=rel, n_max=n_max)
     if report.rank_estimate < sys.n - 1 and not report.certified:
         note = f"rank estimate {report.rank_estimate} below {sys.n - 1}: linearization is degenerate"
         if not (report.definiteness.witness or (report.full_sweep and report.full_sweep.witness)):

@@ -37,22 +37,14 @@ CUT_GUARD = 20
 _SIDE_SWEEP_GUARD = 12
 
 
-def _positive_spanning_forest(g: WeightedGraph, components: Optional[list[frozenset[int]]] = None
-                              ) -> Optional[EdgeSubset]:
-    """Spanning forest of positive edges covering each required component.
-
-    ``components`` defaults to the components of ``g`` itself; passing a
-    coarser partition demands that positive edges alone span each part.
-    """
+def _positive_spanning_forest(g: WeightedGraph) -> Optional[EdgeSubset]:
+    """Spanning forest of positive edges covering each component of ``g``, if one exists."""
     labels, forest = g._positive_forest
-    if components is None:
-        # g's components are spanned iff no edge joins two positive classes
-        _, i, j, _ = _simple_columns(g)
-        spanned = bool(np.all(labels[i] == labels[j]))
-    else:
-        label = labels.tolist()
-        spanned = all(len({label[v - 1] for v in _vertex_subset(comp, g.n)}) <= 1 for comp in components)
-    return EdgeSubset._trusted(g, frozenset(forest.tolist())) if spanned else None
+    # g's components are spanned iff no edge joins two positive classes
+    _, i, j, _ = _simple_columns(g)
+    if not np.all(labels[i] == labels[j]):
+        return None
+    return EdgeSubset._trusted(g, frozenset(forest.tolist()))
 
 
 def positive_spanning_tree(g: WeightedGraph) -> Optional[EdgeSubset]:

@@ -14,6 +14,7 @@ eigenvalues so that the verdict kind stays meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import astuple, dataclass, fields
 from typing import Optional, Union
 
@@ -263,23 +264,24 @@ def is_psd_zero_row_sum(L: np.ndarray, rel: float = REL_TOL) -> DefinitenessVerd
     diagonal entry. When some pivot fails, nothing combinatorial can be
     concluded, so the returned kind falls back to the eigenvalue
     classification, which may still read PSD with rank n-1; the failing
-    leading minor is attached when it is negative outright, otherwise an
-    eigenvector with a disqualifying quadratic form serves as the witness.
+    leading minor is attached when it is negative outright and its
+    determinant is finite, otherwise an eigenvector with a disqualifying
+    quadratic form serves as the witness.
     """
     L = require_zero_row_sums(require_symmetric(L), rel)
     k, negative = _leading_minor_refusal(L, rel)
     if k == 0:
         return DefinitenessVerdict(POSITIVE_SEMI_DEFINITE, L.shape[0] - 1, certified=True)
     kind, rank, w = _classify_by_eigenvalues(L)
-    witness: Optional[Witness]
+    witness: Optional[Witness] = None
     if negative:
-        witness = MinorWitness(tuple(range(1, k + 1)), det_partial_pivot(L[:k, :k]))
-    elif kind in (INDEFINITE, NEGATIVE_SEMI_DEFINITE, NEGATIVE_DEFINITE):
+        value = det_partial_pivot(L[:k, :k])
+        if math.isfinite(value):  # an overflowing minor proves nothing; the eigenvector may
+            witness = MinorWitness(tuple(range(1, k + 1)), value)
+    if witness is None and kind in (INDEFINITE, NEGATIVE_SEMI_DEFINITE, NEGATIVE_DEFINITE):
         vecs = np.linalg.eigh(L)[1]
         v = vecs[:, 0]
         witness = VectorWitness(tuple(float(x) for x in v), float(w[0]))
-    else:
-        witness = None
     return DefinitenessVerdict(kind, rank, witness)
 
 

@@ -31,6 +31,7 @@ system scaled below it can lock.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import Optional
@@ -61,6 +62,15 @@ from mesostab.sylvester import (
     _leading_minor_refusal,
 )
 from mesostab.selftest import random_signed_graph, random_zero_row_sum_matrix
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity, which strict JSON has no words for."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def looped_det_partial_pivot(a) -> float:
@@ -363,13 +373,11 @@ def _greedy_positive(g: WeightedGraph):
     return uf, forest
 
 
-def greedy_positive_forest(g: WeightedGraph, components=None):
+def greedy_positive_forest(g: WeightedGraph):
     """Sorted edge indices of the greedy positive forest, or None when it
-    leaves a part of ``components`` (default: g's components) unspanned."""
-    if components is None:
-        components = greedy_components(g)
+    leaves a component of g unspanned."""
     uf, forest = _greedy_positive(g)
-    if any(len({uf.find(v) for v in comp}) > 1 for comp in components):
+    if any(len({uf.find(v) for v in comp}) > 1 for comp in greedy_components(g)):
         return None
     return tuple(sorted(forest))
 

@@ -172,13 +172,6 @@ def test_certified_analysis_checks_symmetry_twice(monkeypatch):
     assert report.certified and len(calls) == 2
 
 
-@pytest.mark.parametrize("bad_vertex", [0, 4])
-def test_rejects_required_component_outside_vertices(bad_vertex):
-    a = -laplacian(WeightedGraph(3, ((1, 2, 1.0), (2, 3, 1.0))))
-    with pytest.raises(ValueError, match=f"vertex {bad_vertex} outside 1..3"):
-        analyze_matrix(a, required_components=[frozenset({1, bad_vertex})])
-
-
 def test_graph_entry_point_matches_matrix_route():
     g = WeightedGraph(3, ((1, 2, 1.0), (2, 3, -0.2), (1, 3, 1.0)))
     via_graph = analyze_graph(g)

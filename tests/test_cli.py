@@ -1,6 +1,5 @@
 """Command-line behavior: exit codes, JSON determinism, witness re-checks."""
 
-import json
 import math
 import os
 import re
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ring_system
+from helpers import ring_system, strict_json
 from mesostab import WeightedGraph, graphs, laplacian, principal_minor_direct
 from mesostab import cli, kuramoto
 from mesostab.cli import main
@@ -60,7 +59,7 @@ def test_package_runs_as_a_module():
 def run_json(capsys, argv):
     code = main(["--format", "json", *argv])
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 class TestAnalyzeMatrix:
@@ -96,7 +95,7 @@ class TestAnalyzeMatrix:
         main(["--format", "json", "analyze-matrix", str(c_matrix)])
         second = capsys.readouterr().out
         assert first == second
-        assert json.loads(first)["schema"] == "mesostab/1"
+        assert strict_json(first)["schema"] == "mesostab/1"
 
     def test_non_zero_row_sum_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
@@ -121,6 +120,19 @@ class TestAnalyzeMatrix:
         done = subprocess.run([sys.executable, *flags, "-m", "mesostab.cli", "analyze-matrix", str(path)],
                               capture_output=True, text=True, env=src_env())
         assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: matrix does not have zero row sums (row 1)\n")
+
+    def test_overflowing_certificate_minor_gives_way_to_an_eigenvector(self, capsys, tmp_path):
+        # the negation's leading 2 x 2 minor, -3e400, overflows to -inf: strict
+        # JSON has no word for it, so the eigenvector witness takes its place
+        path = tmp_path / "scaled.csv"
+        path.write_text("-1e200,-2e200,3e200\n-2e200,-1e200,3e200\n3e200,3e200,-6e200\n")
+        code, payload = run_json(capsys, ["--nmax", "2", "analyze-matrix", str(path)])
+        report = payload["report"]
+        assert code == 1 and report["verdict"] == "fails necessary condition"
+        witness = report["definiteness"]["witness"]
+        assert witness["type"] == "vector" and witness["value"] < 0
+        v = np.array(witness["vector"])
+        assert v @ -np.loadtxt(path, delimiter=",") @ v < 0
 
     def test_parse_error_names_line(self, capsys, tmp_path):
         path = tmp_path / "broken.csv"
@@ -168,7 +180,7 @@ class TestAnalyzeGraph:
         assert report["notes"] == ["the leading-minor certificate was refused within tolerance "
                                    "and no obstruction was found"]
         assert main(["--format", "json", "analyze-graph", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["report"]["certified"]
+        assert strict_json(capsys.readouterr().out)["report"]["certified"]
 
     def test_graph_without_vertices_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
@@ -197,6 +209,19 @@ class TestKuramotoCommand:
         assert code == 1
         assert payload["report"]["positive_spanning_forest"] is None
 
+    def test_lock_at_a_right_angle_lists_its_noise_level_edge(self, capsys, tmp_path):
+        # at a phase gap of fl(pi/2) the coupled pair's entry is cos(pi/2) ~ 6e-17:
+        # the certificate holds on it, so the forest lists it too
+        sys_ = KuramotoSystem(np.array([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        path, seeds = tmp_path / "right.txt", tmp_path / "seeds.txt"
+        path.write_text(format_kuramoto(sys_))
+        seeds.write_text(f"{math.pi / 2!r} 0.0\n")
+        code, payload = run_json(capsys, ["kuramoto", str(path), "--seed-phases", str(seeds)])
+        report = payload["report"]
+        assert code == 0 and report["certified"]
+        assert report["positive_spanning_forest"] == [[1, 2, math.cos(math.pi / 2)]]
+        assert report["negative_cut"] is None
+
     def test_infeasible_system_reports_no_lock(self, capsys, tmp_path):
         sys_ = KuramotoSystem(np.array([1.5, -1.5]), np.array([[0.0, 1.0], [1.0, 0.0]]))
         path = tmp_path / "nolock.txt"
@@ -222,12 +247,12 @@ class TestKuramotoCommand:
         pair = runs(KuramotoSystem(np.array([1.5, -1.5]), np.array([[0.0, 1.0], [1.0, 0.0]])),
                     (0, kuramoto.NEWTON_MAX_ITER))
         assert [(r.returncode, r.stdout, r.stderr) for r in pair] == [(1, pair[1].stdout, "")] * 2
-        assert json.loads(pair[0].stdout)["verdict"] == "no phase-locked state found from the given seed"
+        assert strict_json(pair[0].stdout)["verdict"] == "no phase-locked state found from the given seed"
         # a ring with chords below its arc bound, as the benchmark's non-locking searches
         ring = runs(ring_system(np.random.default_rng(139), 48, 0.85, chords=4),
                     (0, kuramoto.NEWTON_CUT_AFTER, 24, kuramoto.NEWTON_MAX_ITER))
         assert [(r.returncode, r.stdout) for r in ring] == [(1, ring[0].stdout)] * 4
-        assert json.loads(ring[0].stdout)["equilibrium"] is None
+        assert strict_json(ring[0].stdout)["equilibrium"] is None
 
     def test_allocation_failure_exits_two(self, capsys, monkeypatch, two_node_file):
         # Raised by a stand-in parser: a real allocation of this size could get

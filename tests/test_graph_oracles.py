@@ -2,8 +2,9 @@
 
 Each property draws small graphs (n <= 12) and requires the numpy paths to
 return exactly what the loop oracles in ``helpers`` return. The Kuramoto
-phase condition and coupling components, which no longer build graphs, are
-held to the graph route they replaced. The constructor's per-edge check
+phase condition, which no longer builds a graph, is held to the graph route
+it replaced, and the components of a Kuramoto Jacobian's exact graph to the
+coupling components. The constructor's per-edge check
 is held to the array validator it replaced, on edge lists with every kind
 of defect. The edge readers (``simple_edges``, ``loops``, the ``EdgeSubset``
 methods, the incidence factorization and the line validator) are held to
@@ -49,6 +50,7 @@ from mesostab import (
     incidence_factorization,
     induced_lines,
     is_forest,
+    jacobian,
     laplacian,
     line_obstruction_scan,
     line_weight_bound,
@@ -57,7 +59,7 @@ from mesostab import (
     spanning_phase_condition,
 )
 from mesostab.cli import _report_dict
-from mesostab.structure import _positive_spanning_forest, _require_induced_line
+from mesostab.structure import _require_induced_line
 
 WEIGHTS = st.one_of(st.integers(min_value=-4, max_value=-1), st.integers(min_value=1, max_value=4))
 
@@ -126,9 +128,6 @@ def test_components_forest_and_cut_match_union_find(g):
     tree = positive_spanning_tree(g)
     assert (None if tree is None else tree.sorted_members()) == greedy_positive_forest(g)
     assert find_negative_cut(g) == greedy_negative_cut(g)
-    whole = [frozenset(g.vertices)]
-    forest = _positive_spanning_forest(g, whole)
-    assert (None if forest is None else forest.sorted_members()) == greedy_positive_forest(g, whole)
 
 
 LABEL_DEFECTS = [-3, 10**30, True, False, 2.0, "1", np.float64(1.0), None]
@@ -360,12 +359,13 @@ def coupled_equilibria(draw):
 def test_phase_condition_and_components_match_graph_route(case):
     sys_, x = case
     assert spanning_phase_condition(sys_, x) == signed_graph_phase_condition(sys_, x)
-    required = []
+    # the Jacobian's exact graph has the coupling components, so the report's forest spans them
+    assert graph_components(coates_graph(jacobian(sys_, x))) == coupling_graph_components(sys_)
 
-    def recording(a, **kwargs):
-        required.append(kwargs["required_components"])
-        return analyze_matrix(a, **kwargs)
 
-    with mock.patch("mesostab.kuramoto.analyze_matrix", recording):
-        classify_stability(sys_, x)
-    assert required == [coupling_graph_components(sys_)]
+@settings(max_examples=300, deadline=None)
+@given(coupled_equilibria())
+def test_report_has_a_positive_forest_or_a_negative_cut(case):
+    report = classify_stability(*case)
+    assert report.spanning_forest is not None or not report.certified
+    assert (report.spanning_forest is None) == (report.negative_cut is not None)

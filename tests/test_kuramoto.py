@@ -21,6 +21,7 @@ from mesostab import (
     negated_adjacency_check,
     rotating_frame_residual,
     spanning_phase_condition,
+    wrap_phases,
     wrap_to_pi,
 )
 
@@ -139,6 +140,13 @@ class TestPhaseWrapping:
         assert wrap_to_pi(-0.25) == pytest.approx(-0.25)
         assert float(wrap_to_pi(2 * math.pi + 0.1)) == pytest.approx(0.1)
 
+    def test_remainder_rounding_up_to_a_full_turn_wraps_to_zero(self):
+        # -1e-20 mod 2*pi and (pi - nextafter(pi, 4)) mod 2*pi both round to 2*pi
+        assert wrap_phases(-1e-20) == 0.0
+        assert wrap_phases(np.array([-1e-20, 1.0]))[0] == 0.0
+        assert wrap_to_pi(math.nextafter(math.pi, 4)) == math.pi
+        assert wrap_to_pi(np.array([math.nextafter(math.pi, 4)]))[0] == math.pi
+
 
 class TestResidual:
     def test_two_node_closed_form(self):
@@ -218,6 +226,22 @@ class TestFindEquilibrium:
         assert x is not None
         assert any("singular" in rec.message for rec in caplog.records)
         assert np.linalg.norm(rotating_frame_residual(sys_iso, x)) < 1e-10
+
+    @pytest.mark.parametrize("n, pair, weight, drift",
+                             [(2, (0, 1), 5e-324, 1.0), (6, (2, 4), 2.22507386e-311, 2e-3)])
+    def test_subnormal_coupling_rejects_overflowing_steps_quietly(self, n, pair, weight, drift):
+        # drift / weight overflows the Newton step (5e-324) or the phase
+        # differences (2.2e-311); either trial's residual is NaN, and it is
+        # rejected without a warning
+        omega = np.zeros(n)
+        omega[pair[1]] = drift
+        b = np.zeros((n, n))
+        b[pair] = b[pair[::-1]] = weight
+        sys_ = KuramotoSystem(omega, b)
+        x0 = np.random.default_rng(0).uniform(0, 2 * math.pi, size=n)
+        for after in (0, 1, kuramoto.NEWTON_MAX_ITER):
+            with mock.patch.object(kuramoto, "NEWTON_CUT_AFTER", after):
+                assert find_equilibrium(sys_, x0) is None
 
 
 def brute_force_excess(sys_):
@@ -506,6 +530,17 @@ class TestClassify:
         sys_ = KuramotoSystem(np.zeros(4), np.ones((4, 4)) - np.eye(4))
         report = classify_stability(sys_, np.zeros(4))
         assert report.verdict == "passes necessary condition"
+
+    def test_in_phase_report_does_not_depend_on_coupling_scale(self):
+        # all-to-all coupling in phase, with omega = 0: x = 0 is an exact equilibrium at any scale
+        def summary(scale):
+            sys_ = KuramotoSystem(np.zeros(5), scale * (np.ones((5, 5)) - np.eye(5)))
+            report = classify_stability(sys_, np.zeros(5))
+            forest = None if report.spanning_forest is None else [(i, j) for i, j, _ in report.spanning_forest]
+            return report.verdict, report.certified, forest
+
+        assert summary(1.0) == ("passes necessary condition", True, [(1, 2), (1, 3), (1, 4), (1, 5)])
+        assert [summary(scale) for scale in (1e-13, 1e-11, 1e2)] == [summary(1.0)] * 3
 
     def test_disconnected_coupling_is_degenerate(self):
         # two independent pairs: the zero eigenvalue has multiplicity two

@@ -12,7 +12,6 @@ form.
 """
 
 import itertools
-import json
 import math
 import struct
 import tracemalloc
@@ -29,6 +28,7 @@ from helpers import (
     random_positive_graph,
     rescanned_closed_weight,
     rescanned_cut_identity_terms,
+    strict_json,
     unchunked_sweep,
 )
 from mesostab import (
@@ -282,11 +282,11 @@ def test_sweep_guard_applies_to_n_not_to_a_block(tmp_path, capsys):
     path = tmp_path / "two_blocks.csv"
     path.write_text(format_matrix_csv(-_block_diagonal(parts, rng)))
     main(["--format", "json", "analyze-matrix", str(path)])
-    report = json.loads(capsys.readouterr().out)["report"]
+    report = strict_json(capsys.readouterr().out)["report"]
     assert report["full_sweep"] is None
     assert "exhaustive minor sweep skipped: n=21 exceeds n_max=20" in report["notes"]
     main(["--format", "json", "--nmax", "21", "analyze-matrix", str(path)])
-    report = json.loads(capsys.readouterr().out)["report"]
+    report = strict_json(capsys.readouterr().out)["report"]
     assert report["full_sweep"]["kind"] == "positive-semi-definite"
     assert report["full_sweep"]["rank_estimate"] == 19
     assert not any("skipped" in note for note in report["notes"])
