@@ -3,8 +3,9 @@
 A condensed, seeded version of the oracle comparisons the test suite runs:
 forest sums against direct determinants, the five-way agreement of the
 maximal-rank tests, the alternating cut identity, spanning-tree/negative-cut
-duality, the two-oscillator closed form, and the min cut that refutes
-locking of a pair beyond its coupling.
+duality, the two-oscillator closed form, the same pair's lock at a scale
+where its residual's sum of squares overflows, and the min cut that
+refutes locking of a pair beyond its coupling.
 """
 
 from __future__ import annotations
@@ -117,6 +118,16 @@ def _check_two_oscillators() -> int:
     return 0 if abs(w[0] + 2 * math.cos(phi)) < 1e-8 and abs(w[1]) < 1e-10 else 1
 
 
+def _check_lock_at_a_huge_scale() -> int:
+    """The pair of the closed form, frequencies and coupling scaled by
+    2**532 (the squares of its residual overflow), locks at the same phases."""
+    phases = []
+    for s in (1.0, 2.0 ** 532):
+        sys_ = KuramotoSystem(np.array([0.5 * s, -0.5 * s]), np.array([[0.0, s], [s, 0.0]]))
+        phases.append(find_equilibrium(sys_, np.array([0.0, 0.1])))
+    return 0 if phases[1] is not None and np.array_equal(phases[0], phases[1]) else 1
+
+
 def _check_unlockable_pair() -> int:
     """A pair with coupling b = 1 locks iff |omega_1 - omega_2| <= 2b: beyond
     it the search finds nothing and the cut refutes; just inside, it must not."""
@@ -139,6 +150,7 @@ def run_self_test() -> int:
         ("alternating cut identity", lambda: _check_identity(rng, 10)),
         ("spanning tree / negative cut duality", lambda: _check_duality(rng, 50)),
         ("two-oscillator closed form", _check_two_oscillators),
+        ("two-oscillator lock at coupling scale 2**532", _check_lock_at_a_huge_scale),
         ("min cut refutes an unlockable pair", _check_unlockable_pair),
     ]
     total = 0

@@ -254,6 +254,15 @@ class TestKuramotoCommand:
         assert [(r.returncode, r.stdout) for r in ring] == [(1, ring[0].stdout)] * 4
         assert strict_json(ring[0].stdout)["equilibrium"] is None
 
+    def test_seed_whose_pinned_differences_overflow_is_an_input_error(self, two_node_file, tmp_path):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("1e308 -1e308\n")
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mesostab", "--format", "json",
+                               "kuramoto", str(two_node_file), "--seed-phases", str(seeds)],
+                              capture_output=True, text=True, env=src_env())
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: seed phases minus the last seed phase must be finite\n"
+
     def test_allocation_failure_exits_two(self, capsys, monkeypatch, two_node_file):
         # Raised by a stand-in parser: a real allocation of this size could get
         # the test process killed on a host that overcommits memory.
@@ -479,4 +488,4 @@ class TestTextOutput:
 def test_self_test_command(capsys):
     assert main(["self-test"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7

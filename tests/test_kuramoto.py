@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -243,6 +244,63 @@ class TestFindEquilibrium:
             with mock.patch.object(kuramoto, "NEWTON_CUT_AFTER", after):
                 assert find_equilibrium(sys_, x0) is None
 
+    def test_lock_does_not_depend_on_the_scale(self):
+        # omega = +-s/2 and b = s lock at pi/6, omega = +-2s never; from
+        # about s = 2**512 on the residual's sum of squares overflows
+        phases = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in (0, 500, 532, 1000, 1020):
+                s = 2.0 ** e
+                phases.append(find_equilibrium(two_node(0.5 * s, s), np.array([0.0, 0.1])))
+                for after in (kuramoto.NEWTON_CUT_AFTER, kuramoto.NEWTON_MAX_ITER):
+                    with mock.patch.object(kuramoto, "NEWTON_CUT_AFTER", after):
+                        assert find_equilibrium(two_node(2.0 * s, s), np.array([0.0, 0.1])) is None
+        assert abs(phases[0][0] - math.pi / 6) < 1e-12
+        assert all(x is not None and x.tobytes() == phases[0].tobytes() for x in phases)
+
+    @pytest.mark.parametrize("v", [[3.0, 4.0], [3e300, -4e300], [1.5e308, -5e307], [-1.5e308, 1.5e308],
+                                   [1e300, math.inf], [1e300, math.nan]])
+    def test_norm_survives_overflowing_squares(self, v):
+        # [-1.5e308, 1.5e308] has a norm past the largest float, so inf is right
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kuramoto._norm(np.array(v))
+        if math.isnan(v[1]):
+            assert math.isnan(got)
+        else:
+            assert got == pytest.approx(math.hypot(*v), rel=1e-15)
+
+    def test_stall_logs_its_iteration_and_residual_norm(self, caplog, monkeypatch):
+        # without the cut the unlockable pair slides to the residual's floor,
+        # 0.5 * sqrt 2 at a right angle, where no damped step helps
+        monkeypatch.setattr(kuramoto, "NEWTON_CUT_AFTER", kuramoto.NEWTON_MAX_ITER)
+        with caplog.at_level("INFO", logger="mesostab.kuramoto"):
+            assert find_equilibrium(two_node(omega0=1.5), np.zeros(2)) is None
+        [rec] = caplog.records
+        assert rec.levelname == "INFO"
+        assert rec.getMessage().startswith("no phase-locked state: no damped step lowered the residual norm ")
+        norm, iteration = rec.args
+        assert norm == pytest.approx(0.5 * math.sqrt(2), rel=1e-12)
+        assert 0 < iteration < kuramoto.NEWTON_MAX_ITER
+
+    def test_iteration_cap_logs_its_count(self, caplog, monkeypatch):
+        # the lockable pair converges in its fourth step, the last one allowed
+        monkeypatch.setattr(kuramoto, "NEWTON_MAX_ITER", 4)
+        monkeypatch.setattr(kuramoto, "NEWTON_CUT_AFTER", 4)
+        with caplog.at_level("INFO", logger="mesostab.kuramoto"):
+            assert find_equilibrium(two_node(omega0=1.5), np.zeros(2)) is None
+            assert find_equilibrium(two_node(omega0=0.5), np.zeros(2)) is not None
+        [rec] = caplog.records
+        assert rec.levelname == "INFO"
+        assert rec.getMessage().startswith("no phase-locked state: the residual norm is ")
+        assert rec.getMessage().endswith(" after 4 iterations")
+
+    @pytest.mark.parametrize("seed", [[1e308, -1e308], [0.0, math.inf], [math.nan, 0.0]])
+    def test_rejects_a_seed_whose_pinned_differences_are_not_finite(self, seed):
+        with pytest.raises(ValueError, match="seed phases minus the last seed phase must be finite"):
+            find_equilibrium(two_node(), np.array(seed))
+
 
 def brute_force_excess(sys_):
     """Largest |sum_S (omega - mean)| - (coupling crossing S) over all 2^n vertex sets S."""
@@ -272,7 +330,7 @@ def small_systems(draw):
 def searches_at_every_trigger(sys_, x0):
     """``find_equilibrium`` from ``x0`` with the cut run at each trigger in turn."""
     results = []
-    for after in (0, 1, 3, 14, 24, kuramoto.NEWTON_MAX_ITER):
+    for after in (0, 1, 3, kuramoto.NEWTON_CUT_AFTER, 14, 24, kuramoto.NEWTON_MAX_ITER):
         with mock.patch.object(kuramoto, "NEWTON_CUT_AFTER", after):
             results.append(find_equilibrium(sys_, x0))
     return results
