@@ -41,7 +41,8 @@ class KuramotoSystem:
 
     The coupling matrix must be symmetric with zero diagonal and
     non-negative entries; two oscillators are coupled iff their entry is
-    positive.
+    positive. A zero entry is stored as +0.0, also where it was given as
+    -0.0.
     """
 
     omega: np.ndarray
@@ -64,6 +65,7 @@ class KuramotoSystem:
             raise ValueError("coupling matrix must have zero diagonal")
         if np.any(b < 0):
             raise ValueError("coupling weights must be non-negative")
+        b += 0.0  # -0.0 + 0.0 is +0.0
         omega.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "omega", omega)
@@ -84,10 +86,18 @@ class KuramotoSystem:
         return WeightedGraph._from_columns(self.n, *self._coupled_pairs)
 
     @cached_property
+    def _coupling_mask(self) -> np.ndarray:
+        """``b > 0``: the one scan of ``b``, read-only, true at both (i, j)
+        and (j, i) of each coupled pair."""
+        mask = self.b > 0
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
     def _coupled_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """0-based endpoints i < j of the coupled pairs, in row-major order,
-        and their weights; ``b`` is scanned once and the arrays are read-only."""
-        i, j = np.nonzero(np.triu(self.b > 0, 1))
+        and their weights, read from ``_coupling_mask``; the arrays are read-only."""
+        i, j = np.nonzero(np.triu(self._coupling_mask, 1))
         pairs = (i, j, self.b[i, j])
         for column in pairs:
             column.flags.writeable = False
@@ -126,12 +136,27 @@ def equilibrium_tolerance(sys: KuramotoSystem) -> float:
 
 
 def rotating_frame_residual(sys: KuramotoSystem, x) -> np.ndarray:
-    """Right-hand side of the rotating-frame dynamics; zero at equilibria."""
+    """Right-hand side of the rotating-frame dynamics; zero at equilibria.
+
+    Row i is omega_i - mean + sum_j b_ij sin(x_j - x_i), a dense row sum
+    whose sines are taken at the coupled pairs only. An uncoupled product
+    is then 0.0 * 0.0 instead of 0.0 * sin(x_j - x_i): only the sign of a
+    zero can differ, which a nonzero sum never shows, and both forms hold
+    the diagonal term 0.0 * sin(+0.0) = +0.0, so neither row sums to -0.0.
+    The result therefore has the bytes of the form with every sine, in any
+    summation order. Phases whose spread is not finite (an inf or NaN
+    phase, or a difference that overflows) take every sine, so that
+    0 * sin(inf) still writes its NaN.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.n,):
         raise ValueError(f"phase vector has shape {x.shape}, expected ({sys.n},)")
     diff = x[None, :] - x[:, None]
-    return sys.omega - sys.mean_frequency + (sys.b * np.sin(diff)).sum(axis=1)
+    if np.isfinite(np.ptp(x)):
+        sines = np.sin(diff, out=np.zeros_like(diff), where=sys._coupling_mask)
+    else:
+        sines = np.sin(diff)
+    return sys.omega - sys.mean_frequency + (sys.b * sines).sum(axis=1)
 
 
 def _residual_norm(sys: KuramotoSystem, x) -> float:
@@ -275,6 +300,32 @@ def _cut_refutes_locking(sys: KuramotoSystem, tol: float) -> bool:
     return True
 
 
+def _solve_finite(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    step = np.linalg.solve(jac, rhs)
+    if not np.all(np.isfinite(step)):
+        raise np.linalg.LinAlgError("non-finite Newton step")
+    return step
+
+
+def _newton_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solution of ``jac @ step = rhs``, finite, or LinAlgError.
+
+    Near the largest float the elimination inside ``np.linalg.solve`` can
+    overflow on a Jacobian that is not singular. A first solve that raises
+    or gives a non-finite step is retried once on ``jac`` and ``rhs`` both
+    scaled by the power of two of max|jac|, which is exact and keeps the
+    solution; a step whose first solve succeeds is never touched. A scaled
+    ``rhs`` that overflows (a subnormal Jacobian) fails as the first solve did.
+    """
+    try:
+        return _solve_finite(jac, rhs)
+    except np.linalg.LinAlgError:
+        exponent = np.frexp(np.max(np.abs(jac)))[1]
+        with np.errstate(over="ignore"):
+            rhs = np.ldexp(rhs, -exponent)
+        return _solve_finite(np.ldexp(jac, -exponent), rhs)
+
+
 def find_equilibrium(sys: KuramotoSystem, x0) -> Optional[np.ndarray]:
     """Damped Newton search for a phase-locked state near ``x0``.
 
@@ -312,9 +363,7 @@ def find_equilibrium(sys: KuramotoSystem, x0) -> Optional[np.ndarray]:
         jac = _residual_jacobian(sys, x)[:-1, :-1]
         rhs = -r[:-1]
         try:
-            step = np.linalg.solve(jac, rhs)
-            if not np.all(np.isfinite(step)):
-                raise np.linalg.LinAlgError("non-finite Newton step")
+            step = _newton_step(jac, rhs)
         except np.linalg.LinAlgError:
             logger.warning("singular gauge-fixed Jacobian at an iterate; using least-squares step")
             step = np.linalg.lstsq(jac, rhs, rcond=None)[0]

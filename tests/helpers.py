@@ -589,6 +589,13 @@ def dense_residual_jacobian(sys: KuramotoSystem, x) -> np.ndarray:
     return a
 
 
+def dense_rotating_frame_residual(sys: KuramotoSystem, x) -> np.ndarray:
+    """The rotating-frame residual with every one of the n^2 sines taken:
+    omega_i - mean + sum_j b_ij sin(x_j - x_i), summed along each row."""
+    x = np.asarray(x, dtype=float)
+    return sys.omega - sys.mean_frequency + (sys.b * np.sin(x[None, :] - x[:, None])).sum(axis=1)
+
+
 def ring_system(rng, n, factor, chords=0):
     """Ring of ``n`` oscillators plus ``chords`` random chords, coupled at
     ``factor`` times the arc lock bound (``ring_arc_bound``)."""

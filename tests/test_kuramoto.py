@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_residual_jacobian, random_positive_graph, ring_system
+from helpers import dense_residual_jacobian, dense_rotating_frame_residual, random_positive_graph, ring_system
 from mesostab import kuramoto
 from mesostab import (
     KuramotoSystem,
@@ -94,11 +94,16 @@ class TestCoupledPairs:
                 scans.append(np.shape(a))
                 return np.nonzero(a)
 
+            def triu(self, a, k=0):
+                triangles.append(a)
+                return np.triu(a, k)
+
+        scans, triangles, seen = [], [], []
         monkeypatch.setattr(kuramoto, "np", CountingNumpy())
-        cached = KuramotoSystem.__dict__["_coupled_pairs"]
-        seen = []
-        monkeypatch.setattr(KuramotoSystem, "_coupled_pairs",
-                            property(lambda s: seen.append(cached.__get__(s)) or seen[-1]))
+        for name in ("_coupling_mask", "_coupled_pairs"):
+            cached = KuramotoSystem.__dict__[name]
+            monkeypatch.setattr(KuramotoSystem, name,
+                                property(lambda s, cached=cached: seen.append(cached.__get__(s)) or seen[-1]))
         sys_ = random_system(np.random.default_rng(7), 6)
         x = find_equilibrium(sys_, np.zeros(6))
         assert x is not None
@@ -107,6 +112,7 @@ class TestCoupledPairs:
             "spanning_phase_condition": lambda: spanning_phase_condition(sys_, x),
             "classify_stability": lambda: classify_stability(sys_, x),
             "_cut_refutes_locking": lambda: kuramoto._cut_refutes_locking(sys_, kuramoto.equilibrium_tolerance(sys_)),
+            "rotating_frame_residual": lambda: rotating_frame_residual(sys_, x + 0.5),
         }
         got = {}
         for name, read in readers.items():
@@ -114,8 +120,11 @@ class TestCoupledPairs:
             read()
             got[name] = list(seen)
         assert all(got.values())
-        first = got["coupling_graph"][0]
-        assert all(pairs is first for taken in got.values() for pairs in taken)
+        pairs = got["coupling_graph"][0]
+        [mask] = got["rotating_frame_residual"]
+        assert all(taken is (pairs if isinstance(taken, tuple) else mask) for read in got.values() for taken in read)
+        # the pairs were read off the cached mask: b > 0 is formed once
+        assert len(triangles) == 1 and triangles[0] is mask
         assert scans == [(6, 6)]
 
     def test_pairs_are_the_upper_triangle_in_row_major_order(self):
@@ -130,6 +139,13 @@ class TestCoupledPairs:
         for column in sys_._coupled_pairs:
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[0]
+
+    def test_cached_mask_is_read_only(self):
+        sys_ = random_system(np.random.default_rng(17), 5)
+        mask = sys_._coupling_mask
+        assert mask.dtype == bool and np.array_equal(mask, sys_.b > 0)
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = True
 
 
 class TestPhaseWrapping:
@@ -166,6 +182,48 @@ class TestResidual:
             sys_ = random_system(rng, int(rng.integers(2, 7)))
             x = rng.uniform(0, 2 * math.pi, size=sys_.n)
             assert abs(rotating_frame_residual(sys_, x).sum()) < 1e-12
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_equal_to_the_dense_form_byte_for_byte(self, data):
+        # isolated oscillators, uncoupled pairs with either zero, and phases
+        # with signed zeros, infinities, NaN and a pair whose difference overflows
+        n = data.draw(st.integers(1, 7), label="n")
+        zero = st.sampled_from([0.0, -0.0])
+        weight = zero | st.floats(0.0, 2.0) | st.floats(0.0, 1e300)
+        b = np.zeros((n, n))
+        b[np.diag_indices(n)] = data.draw(st.lists(zero, min_size=n, max_size=n), label="diagonal")
+        upper = np.triu_indices(n, 1)
+        b[upper] = b[upper[::-1]] = data.draw(st.lists(weight, min_size=len(upper[0]), max_size=len(upper[0])),
+                                               label="upper")
+        isolated = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="isolated"))
+        b[isolated] = b[:, isolated] = 0.0
+        frequency = zero | st.floats(-2.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False)
+        omega = data.draw(st.lists(frequency, min_size=n, max_size=n), label="omega")
+        phase = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308]) | st.floats(-7.0, 7.0)
+        x = np.array(data.draw(st.lists(phase, min_size=n, max_size=n), label="x"))
+        if n > 1 and data.draw(st.booleans(), label="overflowing pair"):
+            x[0], x[-1] = 1e308, -1e308
+        sys_ = KuramotoSystem(omega, b)
+        assert not np.any(np.signbit(sys_.b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = rotating_frame_residual(sys_, x), dense_rotating_frame_residual(sys_, x)
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_finite_phase_of_an_isolated_oscillator_is_no_equilibrium(self):
+        # oscillator 2 is uncoupled at the mean frequency and the pair is at
+        # its lock; 0 * sin(inf) must still make the residual NaN there
+        b = np.zeros((3, 3))
+        b[0, 1] = b[1, 0] = 1.0
+        sys_ = KuramotoSystem(np.array([0.5, -0.5, 0.0]), b)
+        x = np.array([math.asin(0.5), 0.0, 1.0])
+        assert np.linalg.norm(rotating_frame_residual(sys_, x)) < 1e-15
+        for bad in (math.inf, -math.inf, math.nan):
+            x[2] = bad
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(rotating_frame_residual(sys_, x)[2])
+                with pytest.raises(ValueError, match="not an equilibrium: residual norm nan"):
+                    jacobian(sys_, x)
 
 
 class TestFindEquilibrium:
@@ -243,6 +301,21 @@ class TestFindEquilibrium:
         for after in (0, 1, kuramoto.NEWTON_MAX_ITER):
             with mock.patch.object(kuramoto, "NEWTON_CUT_AFTER", after):
                 assert find_equilibrium(sys_, x0) is None
+
+    @pytest.mark.parametrize("e", [1000, 1019, 1020, 1021])
+    def test_overflowing_elimination_is_no_singular_jacobian(self, caplog, e):
+        # near the largest float np.linalg.solve overflows inside the
+        # elimination; the step is retried on a power-of-two scaled system
+        # instead of taking the least-squares fallback and its warning
+        s = 2.0 ** e
+        idx = np.arange(6)
+        b = np.zeros((6, 6))
+        b[idx, (idx + 1) % 6] = s / 8
+        sys_ = KuramotoSystem(s * np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]), b + b.T)
+        with caplog.at_level("INFO", logger="mesostab.kuramoto"):
+            assert find_equilibrium(sys_, np.zeros(6)) is None
+        assert [rec.levelname for rec in caplog.records] == ["INFO"]
+        assert caplog.records[0].getMessage().startswith("no phase-locked state: |S| = ")
 
     def test_lock_does_not_depend_on_the_scale(self):
         # omega = +-s/2 and b = s lock at pi/6, omega = +-2s never; from
