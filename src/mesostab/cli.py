@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 import time
@@ -38,8 +39,15 @@ EXIT_OBSTRUCTION = 1
 EXIT_ERROR = 2
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read_input(path: Path) -> tuple[str, str]:
+    """The text of ``path``, decoded as ``Path.read_text`` decodes it, and the
+    SHA-256 of the bytes it was decoded from.
+
+    The file is read once, so a pipe is hashed as it was parsed.
+    """
+    data = path.read_bytes()
+    with io.TextIOWrapper(io.BytesIO(data)) as text:
+        return text.read(), hashlib.sha256(data).hexdigest()
 
 
 def _fmt(x: float) -> str:
@@ -137,12 +145,12 @@ def _print_text(payload: dict, elapsed: float) -> None:
     print(f"elapsed: {elapsed * 1000.0:.1f} ms")
 
 
-def _base_payload(command: str, path: Path, args) -> dict:
+def _base_payload(command: str, path: Path, digest: str, args) -> dict:
     return {
         "schema": SCHEMA,
         "tool": {"name": "mesostab", "version": __version__},
         "command": command,
-        "input": {"path": str(path), "sha256": _digest(path)},
+        "input": {"path": str(path), "sha256": digest},
         "options": {
             "format": args.format,
             "nmax": args.nmax,
@@ -153,10 +161,11 @@ def _base_payload(command: str, path: Path, args) -> dict:
 
 def _cmd_analyze(args, command: str, parse, analyze) -> int:
     path = Path(args.input)
-    parsed = parse(path.read_text())
+    text, digest = _read_input(path)
+    parsed = parse(text)
     started = time.perf_counter()
     report = analyze(parsed, rel=args.tol, n_max=args.nmax)
-    payload = _base_payload(command, path, args)
+    payload = _base_payload(command, path, digest, args)
     payload["report"] = _report_dict(report)
     _emit(payload, args, time.perf_counter() - started)
     return EXIT_OK if report.verdict == PASSES else EXIT_OBSTRUCTION
@@ -164,14 +173,15 @@ def _cmd_analyze(args, command: str, parse, analyze) -> int:
 
 def _cmd_kuramoto(args) -> int:
     path = Path(args.input)
-    system = parse_kuramoto(path.read_text())
+    text, digest = _read_input(path)
+    system = parse_kuramoto(text)
     if args.seed_phases is not None:
         x0 = parse_phases(Path(args.seed_phases).read_text(), system.n)
     else:
         x0 = np.zeros(system.n)
     started = time.perf_counter()
     xstar = find_equilibrium(system, x0)
-    payload = _base_payload("kuramoto", path, args)
+    payload = _base_payload("kuramoto", path, digest, args)
     if xstar is None:
         payload["equilibrium"] = None
         payload["report"] = None
@@ -191,7 +201,8 @@ def _cmd_kuramoto(args) -> int:
 
 def _cmd_verify_identity(args) -> int:
     path = Path(args.input)
-    g = parse_edge_list(path.read_text())
+    text, digest = _read_input(path)
+    g = parse_edge_list(text)
     started = time.perf_counter()
     if args.v1 is not None:
         try:
@@ -214,7 +225,7 @@ def _cmd_verify_identity(args) -> int:
         ok = ok and check.within_tolerance
         worst = max(worst, abs(check.residual))
         results.append({"v1": list(side), **check._asdict()})
-    payload = _base_payload("verify-identity", path, args)
+    payload = _base_payload("verify-identity", path, digest, args)
     payload["identity"] = {"checks": results, "max_residual": worst, "all_within_tolerance": ok}
     _emit(payload, args, time.perf_counter() - started)
     return EXIT_OK if ok else EXIT_OBSTRUCTION

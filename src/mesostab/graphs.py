@@ -303,8 +303,7 @@ def cut_edges(g: WeightedGraph, v1: Iterable[int]) -> EdgeSubset:
     side = _vertex_subset(v1, g.n)
     if not side or len(side) == g.n:
         raise ValueError("cut requires a partition with two non-empty sides")
-    inside = np.zeros(g.n, dtype=bool)
-    inside[np.array(side) - 1] = True
+    inside = _vertex_mask(g.n, side)
     idx, i, j, _ = _simple_columns(g)
     return EdgeSubset._trusted(g, frozenset(idx[inside[i] != inside[j]].tolist()))
 
@@ -359,6 +358,13 @@ def _vertex_subset(s: Iterable[int], n: int, allow_empty: bool = True) -> tuple[
     if not subset and not allow_empty:
         raise ValueError("vertex subset must be non-empty")
     return tuple(subset)
+
+
+def _vertex_mask(n: int, vertices: tuple[int, ...]) -> np.ndarray:
+    """Boolean mask over the 0-based vertices 0..n-1 that marks the 1-based ``vertices``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.array(vertices, dtype=np.int64) - 1] = True
+    return mask
 
 
 def graph_components(g: WeightedGraph) -> list[frozenset[int]]:

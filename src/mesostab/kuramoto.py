@@ -163,9 +163,10 @@ def _residual_norm(sys: KuramotoSystem, x) -> float:
     """Euclidean norm of the residual at ``x``.
 
     The system keeps the last phase vector asked about (its shape and
-    bytes) with its norm, so a caller that reports the norm at an
+    bytes) with its norm, and ``find_equilibrium`` leaves there the norm
+    at the phases it returns, so a caller that reports the norm at an
     equilibrium and then asks ``jacobian`` for the linearization there
-    evaluates the residual once.
+    evaluates no residual again.
     """
     x = np.asarray(x, dtype=float)
     key = (x.shape, x.tobytes())
@@ -307,6 +308,22 @@ def _solve_finite(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return step
 
 
+def _wrapped(sys: KuramotoSystem, x: np.ndarray, r: np.ndarray, norm: float
+             ) -> tuple[np.ndarray, np.ndarray, float]:
+    """``x`` wrapped to [0, 2*pi) with its residual and norm, the norm kept as ``_residual_norm`` keeps it.
+
+    Wrapping moves each phase by a multiple of 2*pi, which moves the
+    residual by roundoff: enough to carry a norm just under the tolerance
+    over it. Phases that wrapping changes are therefore evaluated again.
+    """
+    wrapped = wrap_phases(x)
+    if wrapped.tobytes() != x.tobytes():
+        r = rotating_frame_residual(sys, wrapped)
+        norm = _norm(r)
+    object.__setattr__(sys, "_last_residual_norm", ((wrapped.shape, wrapped.tobytes()), norm))
+    return wrapped, r, norm
+
+
 def _newton_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solution of ``jac @ step = rhs``, finite, or LinAlgError.
 
@@ -337,9 +354,12 @@ def find_equilibrium(sys: KuramotoSystem, x0) -> Optional[np.ndarray]:
     whether any phase vector could pass; when the cut proves that none can,
     it stops there. That proof is why the trigger changes only the cost of
     a search, never its result; locking searches on the benchmark converge
-    within 6 iterations, inside the trigger of 9. Returns the phases in
-    [0, 2*pi) with the last entry zero, or None when the iteration does not
-    converge; each of the three ways to give up is logged at INFO. A seed
+    within 6 iterations, inside the trigger of 9. An iterate that passes
+    is wrapped to [0, 2*pi); the wrapped phases are returned only if they
+    pass too, and Newton goes on from them otherwise. Returns those phases,
+    with the last entry zero and their residual norm kept for
+    ``_residual_norm``, or None when the iteration does not converge; each
+    of the three ways to give up is logged at INFO. A seed
     whose differences from its last phase are not finite is refused with
     ValueError.
     """
@@ -357,7 +377,9 @@ def find_equilibrium(sys: KuramotoSystem, x0) -> Optional[np.ndarray]:
     norm = _norm(r)
     for iteration in range(NEWTON_MAX_ITER):
         if norm < tol:
-            return wrap_phases(x)
+            x, r, norm = _wrapped(sys, x, r, norm)
+            if norm < tol:
+                return x
         if iteration == NEWTON_CUT_AFTER and _cut_refutes_locking(sys, tol):
             return None
         jac = _residual_jacobian(sys, x)[:-1, :-1]
@@ -386,7 +408,9 @@ def find_equilibrium(sys: KuramotoSystem, x0) -> Optional[np.ndarray]:
                             "at iteration %d", norm, iteration)
                 return None
     if norm < tol:
-        return wrap_phases(x)
+        x, r, norm = _wrapped(sys, x, r, norm)
+        if norm < tol:
+            return x
     logger.info("no phase-locked state: the residual norm is %.17g after %d iterations", norm, NEWTON_MAX_ITER)
     return None
 

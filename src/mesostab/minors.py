@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .graphs import (
     OrientedIncidence,
     WeightedGraph,
     _edge_forest,
+    _simple_columns,
+    _vertex_mask,
     _vertex_subset,
 )
 from .numerics import GuardLimitError, det_bareiss, det_partial_pivot, partial_pivot_dets, require_square
@@ -37,9 +39,11 @@ class ForestFamily:
 
     Every member is a forest and each of its trees contains exactly one
     vertex outside ``subset``. A family from ``enumerate_forest_family``
-    keeps the search's edge-index tuples and weight products; ``len`` and
-    ``weight_sum`` read those, and the ``EdgeSubset`` members are built on
-    the first read of ``members`` and cached.
+    keeps the search's members as the rows of a read-only int64 array of
+    shape (len, |S|), ascending edge indices each, and their weight
+    products; ``len`` and ``weight_sum`` read those, and the ``EdgeSubset``
+    members are built from the rows on the first read of ``members`` and
+    cached.
     """
 
     subset: tuple[int, ...]
@@ -48,26 +52,27 @@ class ForestFamily:
 
     def __init__(self, subset: tuple[int, ...], members: Iterable[EdgeSubset]):
         members = tuple(members)
-        self._store(subset, None, (), tuple(k.weight_product() for k in members))
+        self._store(subset, None, None, [k.weight_product() for k in members])
         object.__setattr__(self, "members", members)
 
     @classmethod
-    def _from_leaves(cls, host: WeightedGraph, subset: tuple[int, ...],
-                     paths: tuple[tuple[int, ...], ...], products: tuple[float, ...]) -> ForestFamily:
-        """Family of the search's member index tuples (ascending) and their weight products, unchecked."""
+    def _from_rows(cls, host: WeightedGraph, subset: tuple[int, ...],
+                   rows: np.ndarray, products: list[float]) -> ForestFamily:
+        """Family of the search's member rows and their weight products, unchecked."""
+        rows.flags.writeable = False
         family = object.__new__(cls)
-        family._store(subset, host, paths, products)
+        family._store(subset, host, rows, products)
         return family
 
-    def _store(self, subset, host, paths, products) -> None:
+    def _store(self, subset, host, rows, products) -> None:
         object.__setattr__(self, "subset", subset)
         object.__setattr__(self, "_host", host)
-        object.__setattr__(self, "_paths", paths)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_products", products)
 
     @cached_property
     def members(self) -> tuple[EdgeSubset, ...]:
-        return tuple(EdgeSubset._trusted(self._host, frozenset(indices)) for indices in self._paths)
+        return tuple(EdgeSubset._trusted(self._host, frozenset(row)) for row in self._rows.tolist())
 
     def __len__(self) -> int:
         return len(self._products)
@@ -118,37 +123,37 @@ def principal_minor_direct(L: np.ndarray, s: Iterable[int]) -> float | np.ndarra
     return det_partial_pivot(L[np.ix_(idx, idx)])
 
 
-def _forest_leaves(n: int, candidates: Sequence[tuple[int, int, int, float]],
-                   special: Iterable[int], size: int) -> list[tuple[tuple[int, ...], float]]:
+def _forest_family(n: int, idx: np.ndarray, i: np.ndarray, j: np.ndarray, w: np.ndarray,
+                   outside: np.ndarray, size: int) -> tuple[np.ndarray, list[float]]:
     """Backtracking enumeration of the spanning trees of a merged graph.
 
-    Picks ``size`` edges from ``candidates`` (each (index, i, j, w), ordered
-    by index) that form a forest once the vertices ``special`` lists are
-    merged into one. Returns (member indices, weight product) pairs in
-    lexicographic member order. Both callers ask for as many edges as span
-    the merged graph on the vertices the candidates can join (all of them
-    for a forest family, side v1 for the cut decomposition), so every tree
-    of a member holds exactly one special vertex.
+    Picks ``size`` of the edges given as columns (ascending edge indices,
+    0-based endpoints, weights) that form a forest once the vertices the
+    mask ``outside`` marks are merged into one. Returns the members as the
+    rows of an int64 array of shape (members, size), in lexicographic
+    order, and their weight products, each multiplied in edge order from
+    1.0. Every caller asks for as many edges as span the merged graph on
+    the vertices the edges can join (all of them for a forest family, side
+    v1 for the cut decomposition), so every tree of a member holds exactly
+    one marked vertex.
     """
-    special = set(special)
-    root = min(special, default=0)
-    parent = [root if v in special else v for v in range(n + 1)]
-    # an edge between two special vertices is a loop of the merged graph
-    candidates = [c for c in candidates if c[1] not in special or c[2] not in special]
+    # an edge between two marked vertices is a loop of the merged graph
+    keep = ~(outside[i] & outside[j])
     # Columns as local lists, and both roots walked inline: the search runs
-    # these lines once per candidate at every node, so a call per find shows.
-    index = [c[0] for c in candidates]
-    first = [c[1] for c in candidates]
-    second = [c[2] for c in candidates]
-    weight = [c[3] for c in candidates]
+    # these lines once per edge at every node, so a call per find shows.
+    index, first, second, weight = idx[keep].tolist(), i[keep].tolist(), j[keep].tolist(), w[keep].tolist()
+    # the first marked vertex stands for all of them; with none marked, no vertex points at it
+    parent = np.where(outside, np.argmax(outside), np.arange(n)).tolist()
 
-    m = len(candidates)
-    leaves: list[tuple[tuple[int, ...], float]] = []
+    m = len(index)
+    members: list[int] = []
+    products: list[float] = []
     path: list[int] = []
 
     def descend(pos: int, chosen: int, prod: float) -> None:
         if chosen == size:
-            leaves.append((tuple(path), prod))
+            members.extend(path)
+            products.append(prod)
             return
         for t in range(pos, m - (size - chosen) + 1):
             ri = first[t]
@@ -169,11 +174,7 @@ def _forest_leaves(n: int, candidates: Sequence[tuple[int, int, int, float]],
     # descend's closure holds descend itself; without this the cycle keeps
     # the search's lists alive until the cyclic collector reaches them
     del descend
-    return leaves
-
-
-def _family_leaves(g: WeightedGraph, subset: Sequence[int]) -> list[tuple[tuple[int, ...], float]]:
-    return _forest_leaves(g.n, list(g.simple_edges()), set(g.vertices).difference(subset), len(subset))
+    return np.fromiter(members, dtype=np.int64, count=len(members)).reshape(len(products), size), products
 
 
 def _require_edge_guard(g: WeightedGraph) -> None:
@@ -182,22 +183,19 @@ def _require_edge_guard(g: WeightedGraph) -> None:
         raise GuardLimitError(f"forest enumeration is guarded at 32 edges, got {m}")
 
 
-def _check_members(g: WeightedGraph, subset: tuple[int, ...], members: Sequence[tuple[int, ...]]) -> None:
-    """Raise on the first member (a tuple of edge indices) that is not a
-    forest whose trees each hold exactly one vertex outside ``subset``.
+def _check_members(g: WeightedGraph, subset: tuple[int, ...], outside: np.ndarray, rows: np.ndarray) -> None:
+    """Raise on the first member (a row of edge indices) that is not a
+    forest whose trees each hold exactly one vertex ``outside`` marks, the
+    vertices not in ``subset``.
 
     Independent of the enumerator: one ``_edge_forest`` call runs over the
     members' disjoint union, in which member f's vertex v is f·n + v.
     """
-    n, count = g.n, len(members)
+    n, (count, size) = g.n, rows.shape
     gi, gj, _ = g._arrays
-    sizes = [len(k) for k in members]
-    edges = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64, count=sum(sizes))
-    owner = np.repeat(np.arange(count), sizes)
-    verts, labels, forest = _edge_forest(owner * n + gi[edges], owner * n + gj[edges])
-    cyclic = np.bincount(owner[forest], minlength=count) < sizes
-    outside = np.ones(n, dtype=bool)
-    outside[np.array(subset) - 1] = False
+    owner = np.repeat(np.arange(count), size)
+    verts, labels, forest = _edge_forest(owner * n + gi[rows].ravel(), owner * n + gj[rows].ravel())
+    cyclic = np.bincount(owner[forest], minlength=count) < size
     leaving = np.bincount(labels[outside[verts % n]], minlength=len(verts))
     # Ascending, so a member's first bad position is the smallest vertex, hence the label, of its first bad tree.
     bad = np.flatnonzero(leaving[labels] != 1)
@@ -205,7 +203,7 @@ def _check_members(g: WeightedGraph, subset: tuple[int, ...], members: Sequence[
     if f == count:
         return
     if cyclic[f]:
-        raise AssertionError(f"enumeration produced a non-forest {members[f]}")
+        raise AssertionError(f"enumeration produced a non-forest {tuple(rows[f].tolist())}")
     first = bad[np.searchsorted(verts[bad], f * n)]
     comp = verts[labels == labels[first]] % n + 1
     raise AssertionError(f"component {comp.tolist()} does not leave {subset} exactly once")
@@ -217,18 +215,17 @@ def enumerate_forest_family(g: WeightedGraph, s: Iterable[int]) -> ForestFamily:
     Members are returned in lexicographic edge-index order. Each member is
     re-validated, ``CHECK_SLICE`` members at a time: it must be a forest and
     each of its trees must contain exactly one vertex outside ``s``. The
-    family keeps the members' edge indices and weight products; their
-    ``EdgeSubset`` objects are built only when ``members`` is read.
+    family keeps the members' edge indices, one row each, and their weight
+    products; their ``EdgeSubset`` objects are built only when ``members``
+    is read.
     """
     subset = _vertex_subset(s, g.n, allow_empty=False)
     _require_edge_guard(g)
-    leaves = _family_leaves(g, subset)
-    paths = tuple(indices for indices, _ in leaves)
-    products = tuple(prod for _, prod in leaves)
-    del leaves  # the pairs go before the check, so they never add to its peak
-    for start in range(0, len(paths), CHECK_SLICE):
-        _check_members(g, subset, paths[start:start + CHECK_SLICE])
-    return ForestFamily._from_leaves(g, subset, paths, products)
+    outside = ~_vertex_mask(g.n, subset)
+    rows, products = _forest_family(g.n, *_simple_columns(g), outside, len(subset))
+    for start in range(0, len(rows), CHECK_SLICE):
+        _check_members(g, subset, outside, rows[start:start + CHECK_SLICE])
+    return ForestFamily._from_rows(g, subset, rows, products)
 
 
 def principal_minor_combinatorial(g: WeightedGraph, s: Iterable[int]) -> float:
@@ -239,7 +236,7 @@ def principal_minor_combinatorial(g: WeightedGraph, s: Iterable[int]) -> float:
     """
     subset = _vertex_subset(s, g.n, allow_empty=False)
     _require_edge_guard(g)
-    return math.fsum(prod for _, prod in _family_leaves(g, subset))
+    return math.fsum(_forest_family(g.n, *_simple_columns(g), ~_vertex_mask(g.n, subset), len(subset))[1])
 
 
 def incidence_minor_magnitude(inc: OrientedIncidence, s: Iterable[int], k: EdgeSubset) -> int:

@@ -23,11 +23,12 @@ from .graphs import (
     _degrees,
     _edge_forest,
     _simple_columns,
+    _vertex_mask,
     _vertex_subset,
     induced_lines,
     laplacian,
 )
-from .minors import _family_leaves, _forest_leaves, principal_minor_direct
+from .minors import _forest_family, principal_minor_direct
 from .numerics import REL_TOL, GuardLimitError
 from .sylvester import SWEEP_CHUNK, _combinations
 
@@ -98,19 +99,6 @@ def _neighbours(g: WeightedGraph) -> list[list[tuple[int, int, float]]]:
     return neighbours
 
 
-def _tee_family(g: WeightedGraph, v1: tuple[int, ...], b: tuple[int, ...]) -> list[frozenset[int]]:
-    """Forests inside side 1 that partition it into one tree per ``b`` vertex:
-    the spanning trees of side 1 with ``b`` merged into one vertex.
-
-    Isolated vertices count as singleton trees, so the forests have exactly
-    |v1| - |b| edges, hence |b| trees.
-    """
-    v1set = set(v1)
-    candidates = [(idx, i, j, w) for idx, i, j, w in g.simple_edges() if i in v1set and j in v1set]
-    leaves = _forest_leaves(g.n, candidates, b, len(v1) - len(b))
-    return [frozenset(indices) for indices, _ in leaves]
-
-
 @dataclass
 class CutFamily:
     """The forest-cutting decomposition attached to one side of a cut.
@@ -145,9 +133,12 @@ def cut_decomposition(g: WeightedGraph, v1: Iterable[int], c: Iterable[int]) -> 
     if not set(removed) <= set(side):
         raise ValueError("c must be a subset of v1")
     rest = tuple(sorted(set(side) - set(removed)))
+    idx, i, j, w = _simple_columns(g)
+    inside = _vertex_mask(g.n, side)
+    within = inside[i] & inside[j]
+    inner = tuple(column[within] for column in (idx, i, j, w))
     neighbours = _neighbours(g)
-    inside = {v - 1 for v in side}
-    pools = {v: [e for u, e, _ in neighbours[v - 1] if u not in inside] for v in side}
+    pools = {v: [e for u, e, _ in neighbours[v - 1] if not inside[u]] for v in side}
 
     sigma: dict[tuple[int, ...], tuple[EdgeSubset, ...]] = {}
     tee: dict[tuple[int, ...], tuple[EdgeSubset, ...]] = {}
@@ -159,20 +150,22 @@ def cut_decomposition(g: WeightedGraph, v1: Iterable[int], c: Iterable[int]) -> 
             if not crossing:
                 continue
             marker = tuple(sorted(set(removed) | set(b)))
-            inside = _tee_family(g, side, marker)
-            if not inside:
+            # The inside forests with one tree per marker: the spanning trees
+            # of side 1 with the markers merged. Isolated vertices count as
+            # singleton trees, so these forests have |v1| - |marker| edges.
+            rows, _ = _forest_family(g.n, *inner, _vertex_mask(g.n, marker), len(side) - len(marker))
+            if not len(rows):
                 continue
+            forests = [frozenset(row) for row in rows.tolist()]
             sigma[b] = tuple(EdgeSubset(g, d) for d in crossing)
-            tee[marker] = tuple(EdgeSubset(g, d) for d in inside)
+            tee[marker] = tuple(EdgeSubset(g, d) for d in forests)
             for a in crossing:
-                for a2 in inside:
+                for a2 in forests:
                     union.add(a | a2)
 
-    if rest:
-        expected = {frozenset(indices) for indices, _ in _family_leaves(g, rest)}
-    else:
-        expected = {frozenset()}
-    if union != expected:
+    # the empty rest has one member, the empty forest
+    rows, _ = _forest_family(g.n, idx, i, j, w, ~_vertex_mask(g.n, rest), len(rest))
+    if union != set(map(frozenset, rows.tolist())):
         raise AssertionError("cut decomposition does not reproduce the forest family")
     ordered = tuple(EdgeSubset(g, m) for m in sorted(union, key=sorted))
     return CutFamily(side, removed, sigma, tee, ordered)

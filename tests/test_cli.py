@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON determinism, witness re-checks."""
 
+import hashlib
 import math
 import os
 import re
@@ -182,6 +183,24 @@ class TestAnalyzeGraph:
         assert main(["--format", "json", "analyze-graph", str(path)]) == 0
         assert strict_json(capsys.readouterr().out)["report"]["certified"]
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_input_from_a_pipe_is_hashed_as_parsed(self, capsys, tmp_path):
+        # the digest is of the bytes parsed, not of a second read that finds the pipe drained
+        data = b"3 2\n1 2 1.0\n2 3 1.0\n"
+        r, w = os.pipe()
+        try:
+            with os.fdopen(w, "wb") as writer:
+                writer.write(data)
+            code, payload = run_json(capsys, ["analyze-graph", f"/dev/fd/{r}"])
+        finally:
+            os.close(r)
+        assert code == 0
+        assert payload["input"]["sha256"] == hashlib.sha256(data).hexdigest()
+        path = tmp_path / "path.txt"
+        path.write_bytes(data)
+        _, from_file = run_json(capsys, ["analyze-graph", str(path)])
+        assert from_file["report"] == payload["report"] and from_file["input"]["sha256"] == payload["input"]["sha256"]
+
     def test_graph_without_vertices_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("0 0\n")
@@ -292,8 +311,9 @@ class TestKuramotoCommand:
         assert "argument --seed-phases:" in captured.err
         assert captured.out == ""
 
-    def test_lock_takes_one_residual_after_the_search(self, capsys, monkeypatch, tmp_path):
-        # the reported residual_norm and jacobian's equilibrium check share one evaluation
+    def test_lock_evaluates_the_returned_phases_once(self, capsys, monkeypatch, tmp_path):
+        # the search's last residual is the one at the returned phases, and the
+        # reported residual_norm and jacobian's equilibrium check reuse it
         rng = np.random.default_rng(5)
         b = np.zeros((8, 8))
         for v in range(8):
@@ -305,13 +325,32 @@ class TestKuramotoCommand:
         taken = []
         residual = kuramoto.rotating_frame_residual
         monkeypatch.setattr(kuramoto, "rotating_frame_residual", lambda s, x: taken.append(np.array(x)) or residual(s, x))
-        search = cli.find_equilibrium
-        monkeypatch.setattr(cli, "find_equilibrium", lambda s, x0: (search(s, x0), taken.clear())[0])
         code, payload = run_json(capsys, ["kuramoto", str(path)])
         assert code == 0 and payload["report"] is not None
         phases = np.array(payload["equilibrium"]["phases"])
-        assert len(taken) == 1 and np.array_equal(taken[0], phases)
+        assert [t.tobytes() for t in taken].count(phases.tobytes()) == 1
+        assert taken[-1].tobytes() == phases.tobytes()
         assert payload["equilibrium"]["residual_norm"] == float(np.linalg.norm(residual(system, phases)))
+
+    def test_lock_whose_wrapped_phases_miss_the_tolerance_is_still_reported(self, capsys, tmp_path):
+        # Newton's last iterate passes with a norm just under the tolerance;
+        # wrapped to [0, 2*pi) it would not, so the search goes on from there
+        path = tmp_path / "osc.txt"
+        path.write_text(
+            "5\n"
+            "omega: -22.369283218081506 -107.54108576047268 377.0901319483465 -333.7117767393234 "
+            "678.2995341484309\n"
+            "1 2 531.9521741190827\n1 3 448.6799510917356\n1 4 266.7842522598874\n1 5 205.18693287128113\n"
+            "2 3 600.7246631812018\n2 5 445.9669886014735\n3 4 203.596421255052\n3 5 322.40008685126963\n")
+        seeds = tmp_path / "seed.txt"
+        seeds.write_text("-55.478870290889525 -84.4459596046898 -58.491343785521444 79.94761316511942 "
+                         "26.079773993787725\n")
+        code, payload = run_json(capsys, ["kuramoto", str(path), "--seed-phases", str(seeds)])
+        assert code == 1 and payload["report"] is not None
+        system = parse_kuramoto(path.read_text())
+        phases = np.array(payload["equilibrium"]["phases"])
+        assert np.all((phases >= 0.0) & (phases < 2.0 * np.pi)) and phases[-1] == 0.0
+        assert payload["equilibrium"]["residual_norm"] < kuramoto.equilibrium_tolerance(system)
 
     def test_op_builds_one_graph(self, capsys, monkeypatch, two_node_file, tmp_path):
         # every WeightedGraph, from edge tuples or from columns, is stored once

@@ -33,6 +33,7 @@ from mesostab import (
     principal_minor_direct,
 )
 from mesostab import minors
+from mesostab.graphs import _simple_columns
 from mesostab.numerics import GuardLimitError, det_partial_pivot, partial_pivot_dets
 
 C_MATRIX = np.array([
@@ -251,6 +252,12 @@ class TestForestFamily:
         assert built == [k.members for k in members]
         assert fam.members is members
 
+    def test_rows_are_read_only_and_hold_the_members(self):
+        fam = enumerate_forest_family(complete_graph(6), [1, 2, 3, 4])
+        rows = fam._rows
+        assert rows.dtype == np.int64 and rows.shape == (len(fam), 4) and not rows.flags.writeable
+        assert [k.sorted_members() for k in fam.members] == [tuple(row) for row in rows.tolist()]
+
     def test_families_compare_by_subset_and_members(self):
         g = random_signed_graph(np.random.default_rng(3), 6, 10)
         fam = enumerate_forest_family(g, [1, 2, 3])
@@ -367,25 +374,30 @@ def enumeration_cases(draw):
 @given(enumeration_cases())
 def test_merged_enumerator_matches_marked_oracle_bit_for_bit(case):
     # Both call shapes: a forest family (every edge, the vertices outside S
-    # special) and a cut decomposition's inside forests (edges inside S, a
-    # marker set special).
+    # merged) and a cut decomposition's inside forests (the edges inside S,
+    # a marker set merged). The oracle takes the same edges as tuples.
     g, s, marker = case
     side = set(s)
+    columns = _simple_columns(g)
+    mask = np.isin(g.vertices, s)
+    within = mask[columns[1]] & mask[columns[2]]
     inside = [e for e in g.simple_edges() if e[1] in side and e[2] in side]
-    shapes = ((list(g.simple_edges()), set(g.vertices) - side, len(s)), (inside, marker, len(s) - len(marker)))
+    shapes = ((list(g.simple_edges()), set(g.vertices) - side, len(s), columns, ~mask),
+              (inside, marker, len(s) - len(marker), tuple(c[within] for c in columns), np.isin(g.vertices, marker)))
     # By the all-minors matrix-tree theorem on unit weights, the member count
     # is the minor of the candidates' Laplacian on the non-special rows.
-    for candidates, special, _ in shapes:
+    for candidates, special, *_ in shapes:
         unit = np.zeros((g.n + 1, g.n + 1))
         for _, i, j, _ in candidates:
             unit[[i, j], [i, j]] += 1.0
             unit[[i, j], [j, i]] -= 1.0
         rows = sorted(side - set(special))
         assume(np.linalg.det(unit[np.ix_(rows, rows)]) <= 5000)
-    for candidates, special, size in shapes:
-        got = minors._forest_leaves(g.n, candidates, special, size)
+    for candidates, special, size, edges, merged in shapes:
+        rows, products = minors._forest_family(g.n, *edges, merged, size)
         expected = marked_forest_leaves(g.n, candidates, special, size)
-        assert [(m, p.hex()) for m, p in got] == [(m, p.hex()) for m, p in expected]
+        assert rows.dtype == np.int64 and rows.shape == (len(expected), size)
+        assert [(tuple(r), p.hex()) for r, p in zip(rows.tolist(), products)] == [(m, p.hex()) for m, p in expected]
 
 
 @st.composite
@@ -441,40 +453,42 @@ class TestFamilyCheck:
     # S = {1,2,3,4} has 432 members, each with 4 edges and two trees.
     S = (1, 2, 3, 4)
 
-    def _inject(self, monkeypatch, position, member):
-        g = complete_graph(6)
-        leaves = minors._family_leaves(g, self.S)
-        assert len(leaves) == 432
-        leaves[position] = (member, 1.0)
-        monkeypatch.setattr(minors, "_family_leaves", lambda *args: leaves)
+    def _inject(self, monkeypatch, bad):
+        """The message of the check with ``bad`` ({position: row}) written over the search's rows."""
+        search = minors._forest_family
+
+        def injected(*args):
+            rows, products = search(*args)
+            assert rows.shape == (432, 4)
+            rows = rows.copy()
+            for position, row in bad.items():
+                rows[position] = row
+            return rows, products
+
+        monkeypatch.setattr(minors, "_forest_family", injected)
         with pytest.raises(AssertionError) as exc:
-            enumerate_forest_family(g, self.S)
+            enumerate_forest_family(complete_graph(6), self.S)
         return str(exc.value)
 
     @pytest.mark.parametrize("position", [0, 10, 255, 256, 300, 431])
     def test_cycle_is_caught(self, monkeypatch, position):
         # triangle 1-2-3 plus the edge 4-5
-        assert self._inject(monkeypatch, position, (0, 1, 5, 12)) == \
+        assert self._inject(monkeypatch, {position: (0, 1, 5, 12)}) == \
             "enumeration produced a non-forest (0, 1, 5, 12)"
 
     @pytest.mark.parametrize("position", [10, 300])
     @pytest.mark.parametrize("member, text", [
         ((3, 4, 5, 9), "component [1, 5, 6] does not leave (1, 2, 3, 4) exactly once"),  # two outside
         ((0, 10, 11, 12), "component [1, 2] does not leave (1, 2, 3, 4) exactly once"),  # none, then two
-        ((3, 5, 13), "component [2, 3] does not leave (1, 2, 3, 4) exactly once"),  # second tree has none
+        # vertex 1 alone is a tree with no edge, so the other holds both outside vertices
+        ((5, 9, 12, 14), "component [2, 3, 4, 5, 6] does not leave (1, 2, 3, 4) exactly once"),
     ])
     def test_tree_leaving_s_more_or_less_than_once_is_caught(self, monkeypatch, position, member, text):
-        assert self._inject(monkeypatch, position, member) == text
+        assert self._inject(monkeypatch, {position: member}) == text
 
     def test_first_bad_member_is_named(self, monkeypatch):
-        g = complete_graph(6)
-        leaves = minors._family_leaves(g, self.S)
-        leaves[300] = ((3, 4, 5, 9), 1.0)
-        leaves[301] = ((0, 1, 5, 12), 1.0)
-        leaves[400] = ((0, 1, 5, 12), 1.0)
-        monkeypatch.setattr(minors, "_family_leaves", lambda *args: leaves)
-        with pytest.raises(AssertionError, match=r"^component \[1, 5, 6\]"):
-            enumerate_forest_family(g, self.S)
+        bad = {300: (3, 4, 5, 9), 301: (0, 1, 5, 12), 400: (0, 1, 5, 12)}
+        assert self._inject(monkeypatch, bad).startswith("component [1, 5, 6]")
 
 
 class TestCombinatorialMinor:
