@@ -32,25 +32,35 @@ def _to_float(v) -> float:
         return math.nan  # reported as an invalid weight, where float(v) runs again to raise the real error
 
 
+def _edge_error(position: int, message: str) -> ValueError:
+    """ValueError for the caller-given edge at 0-based ``position`` in list order, kept as its
+    ``position`` attribute so that a reader of a file can name the edge's line."""
+    exc = ValueError(message)
+    exc.position = position
+    return exc
+
+
 def _checked_columns(n: int, edges: Iterable[tuple[int, int, float]]) -> tuple[list[int], list[int], list[float]]:
     """0-based endpoints i <= j and weights of caller-given edges. After every edge is
-    unpacked and every weight converted, the first bad edge in list order is reported,
-    with the first check it fails: labels, range, weight, repeat of an earlier pair."""
+    unpacked and every weight converted, the first bad edge in list order is reported
+    by ``_edge_error`` at its position, with the first check it fails: labels, range,
+    weight, repeat of an earlier pair."""
     raw = [(i, j, w) for i, j, w in edges]
     weights = [_to_float(w) for _, _, w in raw]
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     lo, hi, seen = [], [], set()
     for (ri, rj, rw), w in zip(raw, weights):
+        # every earlier edge passed and appended to lo, so len(lo) is this edge's position
         if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (ri, rj)):
-            raise ValueError(f"edge ({ri},{rj}) has a non-integer vertex label")
+            raise _edge_error(len(lo), f"edge ({ri},{rj}) has a non-integer vertex label")
         i, j = sorted((int(ri), int(rj)))
         if i < 1 or j > n:
-            raise ValueError(f"edge ({ri},{rj}) uses a vertex outside 1..{n}")
+            raise _edge_error(len(lo), f"edge ({ri},{rj}) uses a vertex outside 1..{n}")
         if not math.isfinite(w) or w == 0.0:
-            raise ValueError(f"edge ({ri},{rj}) has invalid weight {float(rw)}")
+            raise _edge_error(len(lo), f"edge ({ri},{rj}) has invalid weight {float(rw)}")
         if (i, j) in seen:
-            raise ValueError(f"duplicate edge {{{i},{j}}}")
+            raise _edge_error(len(lo), f"duplicate edge {{{i},{j}}}")
         seen.add((i, j))
         lo.append(i - 1)
         hi.append(j - 1)
@@ -234,11 +244,12 @@ class OrientedIncidence:
 def coates_graph(a: np.ndarray, zero_tol: float = 0.0) -> WeightedGraph:
     """Graph whose edges mark the nonzero entries of a symmetric matrix.
 
-    ``zero_tol`` is the absolute cutoff below which an entry counts as zero;
-    the default compares exactly, which is the right choice for matrices
-    entered verbatim. Matrices produced by floating-point arithmetic should
-    pass a small cutoff such as 1e-12. A negative or NaN cutoff is a
-    ValueError.
+    ``zero_tol`` is the absolute cutoff below which an entry counts as zero.
+    The default compares exactly; it is what ``analyze_matrix`` uses for
+    every matrix, Jacobians included, since the analysis reads every entry
+    of the matrix and a cutoff would make the graph disagree with it: a
+    dropped entry is one that the certificate still reads. A negative or
+    NaN cutoff is a ValueError.
     """
     if not zero_tol >= 0.0:
         raise ValueError(f"zero_tol must be non-negative, got {zero_tol}")

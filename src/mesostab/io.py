@@ -94,7 +94,8 @@ def parse_edge_list(text: str) -> WeightedGraph:
     try:
         return WeightedGraph(n, tuple(edges))
     except ValueError as exc:
-        raise ParseError(header_no, str(exc)) from None
+        position = getattr(exc, "position", None)
+        raise ParseError(header_no if position is None else body[position][0], str(exc)) from None
 
 
 def format_edge_list(g: WeightedGraph) -> str:

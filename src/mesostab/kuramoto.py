@@ -159,23 +159,27 @@ def rotating_frame_residual(sys: KuramotoSystem, x) -> np.ndarray:
     return sys.omega - sys.mean_frequency + (sys.b * sines).sum(axis=1)
 
 
-def _residual_norm(sys: KuramotoSystem, x) -> float:
-    """Euclidean norm of the residual at ``x``.
+def _evaluate(sys: KuramotoSystem, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Residual at the float array ``x`` and its norm, the one evaluation in this module.
 
-    The system keeps the last phase vector asked about (its shape and
-    bytes) with its norm, and ``find_equilibrium`` leaves there the norm
-    at the phases it returns, so a caller that reports the norm at an
-    equilibrium and then asks ``jacobian`` for the linearization there
-    evaluates no residual again.
+    The system keeps the last phase vector evaluated (its shape and bytes)
+    with its norm. The search returns the phases it evaluated last, so a
+    caller that reports the norm at an equilibrium and then asks
+    ``jacobian`` for the linearization there evaluates no residual again.
     """
+    r = rotating_frame_residual(sys, x)
+    norm = _norm(r)
+    object.__setattr__(sys, "_last_residual_norm", ((x.shape, x.tobytes()), norm))
+    return r, norm
+
+
+def _residual_norm(sys: KuramotoSystem, x) -> float:
+    """Euclidean norm of the residual at ``x``: the kept norm when ``x`` was evaluated last."""
     x = np.asarray(x, dtype=float)
-    key = (x.shape, x.tobytes())
     last = sys.__dict__.get("_last_residual_norm")
-    if last is not None and last[0] == key:
+    if last is not None and last[0] == (x.shape, x.tobytes()):
         return last[1]
-    norm = _norm(rotating_frame_residual(sys, x))
-    object.__setattr__(sys, "_last_residual_norm", (key, norm))
-    return norm
+    return _evaluate(sys, x)[1]
 
 
 def _residual_jacobian(sys: KuramotoSystem, x: np.ndarray) -> np.ndarray:
@@ -308,22 +312,6 @@ def _solve_finite(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return step
 
 
-def _wrapped(sys: KuramotoSystem, x: np.ndarray, r: np.ndarray, norm: float
-             ) -> tuple[np.ndarray, np.ndarray, float]:
-    """``x`` wrapped to [0, 2*pi) with its residual and norm, the norm kept as ``_residual_norm`` keeps it.
-
-    Wrapping moves each phase by a multiple of 2*pi, which moves the
-    residual by roundoff: enough to carry a norm just under the tolerance
-    over it. Phases that wrapping changes are therefore evaluated again.
-    """
-    wrapped = wrap_phases(x)
-    if wrapped.tobytes() != x.tobytes():
-        r = rotating_frame_residual(sys, wrapped)
-        norm = _norm(r)
-    object.__setattr__(sys, "_last_residual_norm", ((wrapped.shape, wrapped.tobytes()), norm))
-    return wrapped, r, norm
-
-
 def _newton_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solution of ``jac @ step = rhs``, finite, or LinAlgError.
 
@@ -349,18 +337,24 @@ def find_equilibrium(sys: KuramotoSystem, x0) -> Optional[np.ndarray]:
     The last phase is pinned to zero to remove the rotational degeneracy and
     Newton runs on the remaining coordinates. Steps are halved until the
     residual norm decreases; the accepted trial's residual carries over, so
-    each phase vector is evaluated once. A search still short of the
-    tolerance after ``NEWTON_CUT_AFTER`` iterations asks one minimum cut
-    whether any phase vector could pass; when the cut proves that none can,
-    it stops there. That proof is why the trigger changes only the cost of
-    a search, never its result; locking searches on the benchmark converge
-    within 6 iterations, inside the trigger of 9. An iterate that passes
-    is wrapped to [0, 2*pi); the wrapped phases are returned only if they
-    pass too, and Newton goes on from them otherwise. Returns those phases,
-    with the last entry zero and their residual norm kept for
-    ``_residual_norm``, or None when the iteration does not converge; each
-    of the three ways to give up is logged at INFO. A seed
-    whose differences from its last phase are not finite is refused with
+    each phase vector is evaluated once. Each iteration opens with the
+    residual test. An iterate that passes is wrapped to [0, 2*pi), which
+    moves the residual by roundoff; wrapped phases that differ from the
+    iterate are evaluated again, and Newton goes on from them if they miss.
+    The search ends in one of four ways:
+
+    - lock: the passing phases are returned, last entry zero, with their
+      residual norm kept for ``_residual_norm``;
+    - iteration cap: no lock after ``NEWTON_MAX_ITER`` iterations;
+    - stalled line search: none of ``NEWTON_MAX_HALVINGS`` halvings of a
+      step lowers the residual norm;
+    - min cut: after ``NEWTON_CUT_AFTER`` iterations one minimum cut proves
+      that no phase vector could pass. Since that is a proof, the trigger
+      changes only the cost of a search, never its result; locking searches
+      on the benchmark converge within 6 iterations, inside the trigger of 9.
+
+    The last three return None and are logged at INFO. A seed whose
+    differences from its last phase are not finite is refused with
     ValueError.
     """
     tol = equilibrium_tolerance(sys)
@@ -371,15 +365,18 @@ def find_equilibrium(sys: KuramotoSystem, x0) -> Optional[np.ndarray]:
         x = x - x[-1]
     if not np.all(np.isfinite(x)):
         raise ValueError("seed phases minus the last seed phase must be finite")
-    if sys.n == 1:
-        return wrap_phases(x)
-    r = rotating_frame_residual(sys, x)
-    norm = _norm(r)
-    for iteration in range(NEWTON_MAX_ITER):
+    r, norm = _evaluate(sys, x)
+    for iteration in range(NEWTON_MAX_ITER + 1):
         if norm < tol:
-            x, r, norm = _wrapped(sys, x, r, norm)
+            wrapped = wrap_phases(x)
+            if wrapped.tobytes() != x.tobytes():
+                x = wrapped
+                r, norm = _evaluate(sys, x)
             if norm < tol:
                 return x
+        if iteration == NEWTON_MAX_ITER:
+            logger.info("no phase-locked state: the residual norm is %.17g after %d iterations", norm, iteration)
+            return None
         if iteration == NEWTON_CUT_AFTER and _cut_refutes_locking(sys, tol):
             return None
         jac = _residual_jacobian(sys, x)[:-1, :-1]
@@ -397,8 +394,7 @@ def find_equilibrium(sys: KuramotoSystem, x0) -> Optional[np.ndarray]:
             for _ in range(NEWTON_MAX_HALVINGS):
                 trial = x.copy()
                 trial[:-1] += scale * step
-                trial_r = rotating_frame_residual(sys, trial)
-                trial_norm = _norm(trial_r)
+                trial_r, trial_norm = _evaluate(sys, trial)
                 if trial_norm < norm:
                     x, r, norm = trial, trial_r, trial_norm
                     break
@@ -407,12 +403,6 @@ def find_equilibrium(sys: KuramotoSystem, x0) -> Optional[np.ndarray]:
                 logger.info("no phase-locked state: no damped step lowered the residual norm %.17g "
                             "at iteration %d", norm, iteration)
                 return None
-    if norm < tol:
-        x, r, norm = _wrapped(sys, x, r, norm)
-        if norm < tol:
-            return x
-    logger.info("no phase-locked state: the residual norm is %.17g after %d iterations", norm, NEWTON_MAX_ITER)
-    return None
 
 
 def jacobian(sys: KuramotoSystem, xstar) -> np.ndarray:

@@ -332,6 +332,14 @@ class TestKuramotoCommand:
         assert taken[-1].tobytes() == phases.tobytes()
         assert payload["equilibrium"]["residual_norm"] == float(np.linalg.norm(residual(system, phases)))
 
+    def test_single_oscillator_locks_at_zero(self, capsys, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("1\nomega: 0.7\n")
+        code, payload = run_json(capsys, ["kuramoto", str(path)])
+        assert code == 0 and payload["report"] is not None
+        assert payload["equilibrium"]["phases"] == [0.0]
+        assert payload["equilibrium"]["residual_norm"] == 0.0
+
     def test_lock_whose_wrapped_phases_miss_the_tolerance_is_still_reported(self, capsys, tmp_path):
         # Newton's last iterate passes with a norm just under the tolerance;
         # wrapped to [0, 2*pi) it would not, so the search goes on from there

@@ -53,6 +53,30 @@ class TestEdgeList:
         with pytest.raises(ParseError, match="invalid weight"):
             parse_edge_list("2 1\n1 2 0.0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\n1 2 1.0\n2 4 1.0\n", "line 3: edge (2,4) uses a vertex outside 1..3"),
+        ("3 3\n1 2 1.0\n2 3 1.0\n0 1 1.0\n", "line 4: edge (0,1) uses a vertex outside 1..3"),
+        ("3 2\n1 2 1.0\n2 3 0.0\n", "line 3: edge (2,3) has invalid weight 0.0"),
+        ("3 3\n1 2 1.0\n2 3 1.0\n1 2 2.0\n", "line 4: duplicate edge {1,2}"),
+        ("3 3\n1 2 1.0\n2 3 1.0\n2 1 2.0\n", "line 4: duplicate edge {1,2}"),
+    ])
+    def test_bad_edge_names_its_own_line(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
+
+    def test_bad_edge_line_counts_comments_and_blank_lines(self):
+        text = "# demo\n\n3 3\n\n1 2 1.0\n# next\n2 3 -0.0\n1 3 1.0\n"
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == "line 7: edge (2,3) has invalid weight -0.0"
+        assert exc.value.line == 7
+
+    def test_negative_vertex_count_names_the_header_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list("# demo\n-1 1\n1 2 1.0\n")
+        assert str(exc.value) == "line 2: vertex count must be non-negative"
+
 
 class TestEchoedTokens:
     @pytest.mark.parametrize("text, message", [

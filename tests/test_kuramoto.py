@@ -270,6 +270,20 @@ class TestFindEquilibrium:
         assert (x is not None) == locks
         assert len(seen) > 2 and len(set(seen)) == len(seen)
 
+    @pytest.mark.parametrize("seed", [0.0, 7.25, -1e300])
+    def test_single_oscillator_locks_at_zero_after_one_evaluation(self, monkeypatch, seed):
+        sys_ = KuramotoSystem(np.array([0.7]), np.zeros((1, 1)))
+        seen = []
+        residual = kuramoto.rotating_frame_residual
+        monkeypatch.setattr(kuramoto, "rotating_frame_residual", lambda s, x: seen.append(1) or residual(s, x))
+        x = find_equilibrium(sys_, np.array([seed]))
+        assert x is not None and x.tobytes() == np.array([0.0]).tobytes()
+        assert len(seen) == 1
+        # the search kept the norm at the phases it returned
+        assert np.array_equal(jacobian(sys_, x), np.zeros((1, 1)))
+        assert kuramoto._residual_norm(sys_, x) == 0.0
+        assert len(seen) == 1
+
     def test_gauge_is_pinned(self):
         x = find_equilibrium(two_node(), np.array([1.0, 4.0]))
         assert x is not None and x[-1] == 0.0
@@ -398,6 +412,19 @@ def small_systems(draw):
     b = np.zeros((n, n))
     b[np.triu_indices(n, 1)] = upper
     return KuramotoSystem(omega * scale, (b + b.T) * scale)
+
+
+class TestKeptResidualNorm:
+    # Every evaluation keeps its norm, so the kept norm is always that of
+    # the phases it is keyed by, whichever way the search ended.
+    @settings(max_examples=150, deadline=None)
+    @given(small_systems(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_never_stale(self, sys_, seed):
+        x0 = np.random.default_rng(seed).uniform(-4 * math.pi, 4 * math.pi, size=sys_.n)
+        found = find_equilibrium(sys_, x0)
+        for y in ([] if found is None else [found]) + [x0, x0 + 0.5]:
+            expected = kuramoto._norm(rotating_frame_residual(sys_, y))
+            assert np.float64(kuramoto._residual_norm(sys_, y)).tobytes() == np.float64(expected).tobytes()
 
 
 def searches_at_every_trigger(sys_, x0):

@@ -10,9 +10,10 @@ module-level helper must be used somewhere in the package, so that no helper
 stays alive only for the tests. The README's library quick start is read
 the same way and run, so the calls it documents cannot drift. In the
 Kuramoto module only the residual may form the dense n x n phase
-differences; the Jacobian takes one cosine per coupled pair. A number the
-README gives for a module-level constant, as `NAME` = N or `NAME` (N, must
-be the constant's value.
+differences; the Jacobian takes one cosine per coupled pair, and only one
+function writes the residual norm that a system keeps. A number the README
+gives for a module-level constant, as `NAME` = N or `NAME` (N, must be the
+constant's value.
 """
 
 import ast
@@ -121,6 +122,30 @@ def test_only_the_residual_forms_dense_phase_differences(tmp_path):
                       "def jacobian(x):\n    return np.cos(x[:, None] - x[None, :])\n\n\n"
                       "def per_pair(x, i, j):\n    return np.cos(x[j] - x[i])\n")
     assert _dense_phase_differences(sample) == ["residual", "jacobian"]
+
+
+def _norm_record_writers(path: Path) -> list[str]:
+    """Top-level definitions in ``path`` that call ``object.__setattr__(..., "_last_residual_norm", ...)``."""
+    found = []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == "_last_residual_norm"):
+                found.append(getattr(top, "name", "<module>"))
+                break
+    return found
+
+
+def test_one_function_writes_the_kept_residual_norm(tmp_path):
+    assert _norm_record_writers(KURAMOTO) == ["_evaluate"]
+    # the check itself: each writer is flagged once, other attributes are not
+    sample = tmp_path / "sample.py"
+    sample.write_text("def evaluate(s, k, v):\n    object.__setattr__(s, '_last_residual_norm', (k, v))\n\n\n"
+                      "def wrapped(s, k, v):\n    if v:\n        object.__setattr__(s, '_last_residual_norm', (k, v))\n"
+                      "    object.__setattr__(s, '_last_residual_norm', (k, 0.0))\n\n\n"
+                      "def other(s):\n    object.__setattr__(s, 'b', 0)\n")
+    assert _norm_record_writers(sample) == ["evaluate", "wrapped"]
 
 
 def _module_int_constants(modules: list[Path]) -> dict[str, int]:
