@@ -145,65 +145,60 @@ def _print_text(payload: dict, elapsed: float) -> None:
     print(f"elapsed: {elapsed * 1000.0:.1f} ms")
 
 
-def _base_payload(command: str, path: Path, digest: str, args) -> dict:
-    return {
+def _run(args, parse, compute) -> int:
+    """One command: read and hash ``args.input``, ``parse`` its text, then time
+    ``compute(parsed, args)``, which gives the command's payload fields and
+    whether its conditions pass. Emits the payload; 0 on a pass, 1 otherwise."""
+    path = Path(args.input)
+    text, digest = _read_input(path)
+    parsed = parse(text)
+    started = time.perf_counter()
+    fields, passed = compute(parsed, args)
+    payload = {
         "schema": SCHEMA,
         "tool": {"name": "mesostab", "version": __version__},
-        "command": command,
+        "command": args.command,
         "input": {"path": str(path), "sha256": digest},
         "options": {
             "format": args.format,
             "nmax": args.nmax,
             "tol": args.tol,
         },
+        **fields,
     }
-
-
-def _cmd_analyze(args, command: str, parse, analyze) -> int:
-    path = Path(args.input)
-    text, digest = _read_input(path)
-    parsed = parse(text)
-    started = time.perf_counter()
-    report = analyze(parsed, rel=args.tol, n_max=args.nmax)
-    payload = _base_payload(command, path, digest, args)
-    payload["report"] = _report_dict(report)
     _emit(payload, args, time.perf_counter() - started)
-    return EXIT_OK if report.verdict == PASSES else EXIT_OBSTRUCTION
+    return EXIT_OK if passed else EXIT_OBSTRUCTION
 
 
-def _cmd_kuramoto(args) -> int:
-    path = Path(args.input)
-    text, digest = _read_input(path)
-    system = parse_kuramoto(text)
+def _analysis(analyze):
+    """The computation of an ``analyze-*`` command: the report of ``analyze``."""
+    def compute(parsed, args) -> tuple[dict, bool]:
+        report = analyze(parsed, rel=args.tol, n_max=args.nmax)
+        return {"report": _report_dict(report)}, report.verdict == PASSES
+    return compute
+
+
+def _kuramoto(system, args) -> tuple[dict, bool]:
+    """The computation of ``kuramoto``: the equilibrium from the seed phases, and its report."""
     if args.seed_phases is not None:
         x0 = parse_phases(Path(args.seed_phases).read_text(), system.n)
     else:
         x0 = np.zeros(system.n)
-    started = time.perf_counter()
     xstar = find_equilibrium(system, x0)
-    payload = _base_payload("kuramoto", path, digest, args)
     if xstar is None:
-        payload["equilibrium"] = None
-        payload["report"] = None
-        payload["verdict"] = "no phase-locked state found from the given seed"
-        _emit(payload, args, time.perf_counter() - started)
-        return EXIT_OBSTRUCTION
-    payload["equilibrium"] = {
+        return {"equilibrium": None, "report": None,
+                "verdict": "no phase-locked state found from the given seed"}, False
+    equilibrium = {
         "phases": [float(v) for v in xstar],
         "residual_norm": _residual_norm(system, xstar),
         "spanning_phase_condition": spanning_phase_condition(system, xstar),
     }
     report = classify_stability(system, xstar, rel=args.tol, n_max=args.nmax)
-    payload["report"] = _report_dict(report)
-    _emit(payload, args, time.perf_counter() - started)
-    return EXIT_OK if report.verdict == PASSES else EXIT_OBSTRUCTION
+    return {"equilibrium": equilibrium, "report": _report_dict(report)}, report.verdict == PASSES
 
 
-def _cmd_verify_identity(args) -> int:
-    path = Path(args.input)
-    text, digest = _read_input(path)
-    g = parse_edge_list(text)
-    started = time.perf_counter()
+def _verify_identity(g, args) -> tuple[dict, bool]:
+    """The computation of ``verify-identity``: the identity on ``--v1``, or on every proper subset."""
     if args.v1 is not None:
         try:
             side = tuple(int(tok) for tok in args.v1.split(","))
@@ -225,10 +220,7 @@ def _cmd_verify_identity(args) -> int:
         ok = ok and check.within_tolerance
         worst = max(worst, abs(check.residual))
         results.append({"v1": list(side), **check._asdict()})
-    payload = _base_payload("verify-identity", path, digest, args)
-    payload["identity"] = {"checks": results, "max_residual": worst, "all_within_tolerance": ok}
-    _emit(payload, args, time.perf_counter() - started)
-    return EXIT_OK if ok else EXIT_OBSTRUCTION
+    return {"identity": {"checks": results, "max_residual": worst, "all_within_tolerance": ok}}, ok
 
 
 def _cmd_self_test(args) -> int:
@@ -265,25 +257,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative tolerance coefficient for verdicts")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each command looks its parse and compute functions up when it runs
     p = sub.add_parser("analyze-matrix", help="obstruction pipeline on a CSV matrix")
     p.add_argument("input")
-    # the parse and analyze functions are looked up when the command runs
-    p.set_defaults(func=lambda args: _cmd_analyze(args, "analyze-matrix", parse_matrix_csv, analyze_matrix))
+    p.set_defaults(func=lambda args: _run(args, parse_matrix_csv, _analysis(analyze_matrix)))
 
     p = sub.add_parser("analyze-graph", help="obstruction pipeline on an edge-list graph")
     p.add_argument("input")
-    p.set_defaults(func=lambda args: _cmd_analyze(args, "analyze-graph", parse_edge_list, analyze_graph))
+    p.set_defaults(func=lambda args: _run(args, parse_edge_list, _analysis(analyze_graph)))
 
     p = sub.add_parser("kuramoto", help="find a phase-locked state and classify its stability")
     p.add_argument("input")
     p.add_argument("--seed-phases", default=None, type=_checked(str, bool, "a file name"),
                    help="file with one phase per oscillator")
-    p.set_defaults(func=_cmd_kuramoto)
+    p.set_defaults(func=lambda args: _run(args, parse_kuramoto, _kuramoto))
 
     p = sub.add_parser("verify-identity", help="check the alternating cut identity")
     p.add_argument("input")
     p.add_argument("--v1", default=None, help="comma-separated vertex labels; default sweeps all proper subsets")
-    p.set_defaults(func=_cmd_verify_identity)
+    p.set_defaults(func=lambda args: _run(args, parse_edge_list, _verify_identity))
 
     p = sub.add_parser("self-test", help="run the built-in consistency checks")
     p.set_defaults(func=_cmd_self_test)

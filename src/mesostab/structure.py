@@ -388,8 +388,10 @@ def line_obstruction_scan(g: WeightedGraph, rel: float = REL_TOL) -> list[LineBo
 
     Two or more negative edges violate unconditionally; a single negative
     edge violates when its magnitude exceeds the harmonic bound of the
-    remaining weights. Reports come in lexicographic line order. The lines
-    come from ``induced_lines``, so they are not validated again.
+    remaining weights by more than ``rel`` times the larger of the two. That
+    tolerance is relative to the line's own weights, so scaling every weight
+    leaves the verdict alone. Reports come in lexicographic line order. The
+    lines come from ``induced_lines``, so they are not validated again.
     """
     reports = []
     w = g._arrays.w
@@ -403,6 +405,6 @@ def line_obstruction_scan(g: WeightedGraph, rel: float = REL_TOL) -> list[LineBo
         else:
             bound = _harmonic_bound(float(w[idx]) for idx in members if idx != negatives[0])
             magnitude = abs(float(w[negatives[0]]))
-            tol = rel * max(1.0, bound, magnitude)
+            tol = rel * max(bound, magnitude)
             reports.append(LineBoundReport(line, negatives, bound, magnitude > bound + tol))
     return reports

@@ -64,6 +64,16 @@ from mesostab.sylvester import (
 from mesostab.selftest import random_signed_graph, random_zero_row_sum_matrix
 
 
+# The 4 x 4 counterexample: its leading principal minors are all non-negative,
+# yet (1, 1, 0, 0) gives it the quadratic form -1.
+C_MATRIX = np.array([
+    [0.0, 0.0, 1.0, -1.0],
+    [0.0, -1.0, 1.0, 0.0],
+    [1.0, 1.0, -2.0, 0.0],
+    [-1.0, 0.0, 0.0, 1.0],
+])
+
+
 def _reject_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from helpers import (
+    C_MATRIX,
     brute_force_negative_cut,
     brute_force_spanning_trees,
     characteristic_polynomial_exact,
@@ -38,14 +39,6 @@ from mesostab import (
     spanning_phase_condition,
     is_psd_full,
 )
-
-C_MATRIX = np.array([
-    [0.0, 0.0, 1.0, -1.0],
-    [0.0, -1.0, 1.0, 0.0],
-    [1.0, 1.0, -2.0, 0.0],
-    [-1.0, 0.0, 0.0, 1.0],
-])
-
 
 def _announce(number: int, text: str) -> None:
     print(f"PASS criterion {number}: {text}")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import C_MATRIX
 from mesostab import (
     WeightedGraph,
     analyze_graph,
@@ -20,9 +21,6 @@ from mesostab import (
 )
 from mesostab import analysis, graphs, sylvester
 from mesostab.cli import _report_dict
-
-C_MATRIX = np.array([[0, 0, 1, -1], [0, -1, 1, 0], [1, 1, -2, 0], [-1, 0, 0, 1]], dtype=float)
-
 
 def test_analysis_builds_the_positive_forest_and_the_cut_once(monkeypatch):
     # no positive spanning forest: the spanning test, the cut search and the

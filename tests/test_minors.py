@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    C_MATRIX,
     brute_force_forest_family,
     brute_force_spanning_trees,
     looped_det_partial_pivot,
@@ -35,14 +36,6 @@ from mesostab import (
 from mesostab import minors
 from mesostab.graphs import _simple_columns
 from mesostab.numerics import GuardLimitError, det_partial_pivot, partial_pivot_dets
-
-C_MATRIX = np.array([
-    [0.0, 0.0, 1.0, -1.0],
-    [0.0, -1.0, 1.0, 0.0],
-    [1.0, 1.0, -2.0, 0.0],
-    [-1.0, 0.0, 0.0, 1.0],
-])
-
 
 def triangle():
     return WeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))

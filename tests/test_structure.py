@@ -353,3 +353,16 @@ class TestLineBounds:
             assert principal_minor_direct(laplacian(g2), interior) < 0
             (report2,) = line_obstruction_scan(g2)
             assert report2.violated
+
+    @pytest.mark.parametrize("s", (1e-12, 1e-9, 1e-8, 1e-6, 1.0, 1e6))
+    def test_scan_verdict_does_not_depend_on_the_weight_scale(self, s):
+        # the interior minor on {2, 3} of (s, -m s, s) is (1 - 2m) s^2: negative for m = 0.6 at every s
+        for m, violated in ((0.6, True), (0.4, False)):
+            g = WeightedGraph(4, ((1, 2, s), (2, 3, -m * s), (3, 4, s)))
+            (report,) = line_obstruction_scan(g)
+            assert report.violated is violated
+        # around the bound s / 2 the verdict flips between a 0.1 % shortfall and a 0.1 % overshoot
+        for factor, violated in ((1 - 1e-3, False), (1.0, False), (1 + 1e-3, True)):
+            g = WeightedGraph(4, ((1, 2, s), (2, 3, -0.5 * s * factor), (3, 4, s)))
+            (report,) = line_obstruction_scan(g)
+            assert report.bound == pytest.approx(0.5 * s) and report.violated is violated

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_positive_graph, random_signed_graph, random_zero_row_sum_matrix
+from helpers import C_MATRIX, random_positive_graph, random_signed_graph, random_zero_row_sum_matrix
 from mesostab import (
     DefinitenessVerdict,
     EquivalenceReport,
@@ -29,14 +29,6 @@ from mesostab import (
 from mesostab import sylvester
 from mesostab.numerics import REL_TOL, det_partial_pivot
 from mesostab.sylvester import _classify_by_eigenvalues, _leading_minor_refusal
-
-C_MATRIX = np.array([
-    [0.0, 0.0, 1.0, -1.0],
-    [0.0, -1.0, 1.0, 0.0],
-    [1.0, 1.0, -2.0, 0.0],
-    [-1.0, 0.0, 0.0, 1.0],
-])
-
 
 def certified_verdict(n):
     return DefinitenessVerdict("positive-semi-definite", n - 1, certified=True)

@@ -11,9 +11,10 @@ stays alive only for the tests. The README's library quick start is read
 the same way and run, so the calls it documents cannot drift. In the
 Kuramoto module only the residual may form the dense n x n phase
 differences; the Jacobian takes one cosine per coupled pair, and only one
-function writes the residual norm that a system keeps. A number the README
-gives for a module-level constant, as `NAME` = N or `NAME` (N, must be the
-constant's value.
+function writes the residual norm that a system keeps. In the command line
+front end one runner reads every command's input and emits its payload. A
+number the README gives for a module-level constant, as `NAME` = N or
+`NAME` (N, must be the constant's value.
 """
 
 import ast
@@ -26,6 +27,7 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 README = ROOT / "README.md"
 PACKAGE = ROOT / "src" / "mesostab"
 KURAMOTO = PACKAGE / "kuramoto.py"
+CLI = PACKAGE / "cli.py"
 
 
 def test_every_traced_name_resolves_on_the_package():
@@ -146,6 +148,28 @@ def test_one_function_writes_the_kept_residual_norm(tmp_path):
                       "    object.__setattr__(s, '_last_residual_norm', (k, 0.0))\n\n\n"
                       "def other(s):\n    object.__setattr__(s, 'b', 0)\n")
     assert _norm_record_writers(sample) == ["evaluate", "wrapped"]
+
+
+def _callers(path: Path, name: str) -> list[str]:
+    """Top-level definitions in ``path`` that call the bare name ``name``, nested calls included."""
+    found = []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+               for node in ast.walk(top)):
+            found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_one_function_reads_the_input_and_emits_the_payload(tmp_path):
+    assert _callers(CLI, "_read_input") == _callers(CLI, "_emit") == ["_run"]
+    # the check itself: a call inside a lambda counts, a mention or a method of that name does not
+    sample = tmp_path / "sample.py"
+    sample.write_text("def run(a):\n    _emit(_read_input(a))\n\n\n"
+                      "def nested(a):\n    return (lambda: _emit(a))()\n\n\n"
+                      "def mention(a):\n    return _emit\n\n\n"
+                      "def method(a):\n    return a._emit()\n")
+    assert _callers(sample, "_emit") == ["run", "nested"]
+    assert _callers(sample, "_read_input") == ["run"]
 
 
 def _module_int_constants(modules: list[Path]) -> dict[str, int]:
