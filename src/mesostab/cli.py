@@ -181,7 +181,11 @@ def _analysis(analyze):
 def _kuramoto(system, args) -> tuple[dict, bool]:
     """The computation of ``kuramoto``: the equilibrium from the seed phases, and its report."""
     if args.seed_phases is not None:
-        x0 = parse_phases(Path(args.seed_phases).read_text(), system.n)
+        try:
+            x0 = parse_phases(Path(args.seed_phases).read_text(), system.n)
+        except ParseError as exc:
+            # the input file's errors name only their line, so name the seed file
+            raise ValueError(f"{args.seed_phases}: {exc}") from None
     else:
         x0 = np.zeros(system.n)
     xstar = find_equilibrium(system, x0)

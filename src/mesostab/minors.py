@@ -21,15 +21,14 @@ from .graphs import (
     EdgeSubset,
     OrientedIncidence,
     WeightedGraph,
-    _edge_forest,
     _simple_columns,
     _vertex_mask,
     _vertex_subset,
 )
 from .numerics import GuardLimitError, det_bareiss, det_partial_pivot, partial_pivot_dets, require_square
 
-# Family members per array-forest check; their disjoint union then spans at most
-# CHECK_SLICE * 64 vertices, as the enumeration is guarded at 32 edges.
+# Family members per stacked incidence-minor check; a slice then holds at most
+# CHECK_SLICE * 32**2 floats, as the enumeration is guarded at 32 edges.
 CHECK_SLICE = 256
 
 
@@ -177,54 +176,51 @@ def _forest_family(n: int, idx: np.ndarray, i: np.ndarray, j: np.ndarray, w: np.
     return np.fromiter(members, dtype=np.int64, count=len(members)).reshape(len(products), size), products
 
 
-def _require_edge_guard(g: WeightedGraph) -> None:
+def _family_search(g: WeightedGraph, s: Iterable[int]) -> tuple[tuple[int, ...], np.ndarray, list[float]]:
+    """``s`` validated, and the search's member rows and weight products for
+    its forest family; the enumeration is guarded at 32 edges."""
+    subset = _vertex_subset(s, g.n, allow_empty=False)
     m = len(g._arrays.i)
     if m > 32:
         raise GuardLimitError(f"forest enumeration is guarded at 32 edges, got {m}")
+    return subset, *_forest_family(g.n, *_simple_columns(g), ~_vertex_mask(g.n, subset), len(subset))
 
 
-def _check_members(g: WeightedGraph, subset: tuple[int, ...], outside: np.ndarray, rows: np.ndarray) -> None:
-    """Raise on the first member (a row of edge indices) that is not a
-    forest whose trees each hold exactly one vertex ``outside`` marks, the
-    vertices not in ``subset``.
+def _check_members(g: WeightedGraph, subset: tuple[int, ...], rows: np.ndarray) -> None:
+    """Raise on the first member (a row of edge indices) whose incidence
+    minor on the rows ``subset`` is not exactly ±1.
 
-    Independent of the enumerator: one ``_edge_forest`` call runs over the
-    members' disjoint union, in which member f's vertex v is f·n + v.
+    Independent of the enumerator, by the all-minors matrix-tree theorem:
+    an |S|-edge set is in the forest family of S exactly when that minor is
+    ±1, and it is 0 otherwise. The signed incidence matrix is totally
+    unimodular, so partial-pivot LU never leaves {0, ±1} and one stacked
+    ``np.linalg.det`` is exact.
     """
-    n, (count, size) = g.n, rows.shape
-    gi, gj, _ = g._arrays
-    owner = np.repeat(np.arange(count), size)
-    verts, labels, forest = _edge_forest(owner * n + gi[rows].ravel(), owner * n + gj[rows].ravel())
-    cyclic = np.bincount(owner[forest], minlength=count) < size
-    leaving = np.bincount(labels[outside[verts % n]], minlength=len(verts))
-    # Ascending, so a member's first bad position is the smallest vertex, hence the label, of its first bad tree.
-    bad = np.flatnonzero(leaving[labels] != 1)
-    f = min(np.flatnonzero(cyclic).min(initial=count), (verts[bad] // n).min(initial=count))
-    if f == count:
-        return
-    if cyclic[f]:
-        raise AssertionError(f"enumeration produced a non-forest {tuple(rows[f].tolist())}")
-    first = bad[np.searchsorted(verts[bad], f * n)]
-    comp = verts[labels == labels[first]] % n + 1
-    raise AssertionError(f"component {comp.tolist()} does not leave {subset} exactly once")
+    i, j, _ = g._arrays
+    s0 = np.array(subset) - 1
+    # Row e holds edge e's incidence on S, so a member's rows are its minor's transpose; a loop's row is zero.
+    incidence = (i[:, None] == s0).astype(float) - (j[:, None] == s0)
+    dets = np.linalg.det(incidence[rows])
+    bad = np.flatnonzero(np.abs(dets) != 1.0)
+    if bad.size:
+        f = bad[0]
+        raise AssertionError(f"member {tuple(rows[f].tolist())} is not in the forest family of {subset}: "
+                             f"incidence minor {dets[f]}")
 
 
 def enumerate_forest_family(g: WeightedGraph, s: Iterable[int]) -> ForestFamily:
     """Exact enumeration of the forest family attached to vertex set ``s``.
 
     Members are returned in lexicographic edge-index order. Each member is
-    re-validated, ``CHECK_SLICE`` members at a time: it must be a forest and
-    each of its trees must contain exactly one vertex outside ``s``. The
-    family keeps the members' edge indices, one row each, and their weight
-    products; their ``EdgeSubset`` objects are built only when ``members``
-    is read.
+    re-validated, ``CHECK_SLICE`` members at a time, by its incidence minor,
+    which is ±1 exactly for a forest whose trees each contain exactly one
+    vertex outside ``s``. The family keeps the members' edge indices, one
+    row each, and their weight products; their ``EdgeSubset`` objects are
+    built only when ``members`` is read.
     """
-    subset = _vertex_subset(s, g.n, allow_empty=False)
-    _require_edge_guard(g)
-    outside = ~_vertex_mask(g.n, subset)
-    rows, products = _forest_family(g.n, *_simple_columns(g), outside, len(subset))
+    subset, rows, products = _family_search(g, s)
     for start in range(0, len(rows), CHECK_SLICE):
-        _check_members(g, subset, outside, rows[start:start + CHECK_SLICE])
+        _check_members(g, subset, rows[start:start + CHECK_SLICE])
     return ForestFamily._from_rows(g, subset, rows, products)
 
 
@@ -234,9 +230,7 @@ def principal_minor_combinatorial(g: WeightedGraph, s: Iterable[int]) -> float:
     An empty family gives 0, which covers both sparse graphs (fewer edges
     than |s|) and s equal to the full vertex set.
     """
-    subset = _vertex_subset(s, g.n, allow_empty=False)
-    _require_edge_guard(g)
-    return math.fsum(_forest_family(g.n, *_simple_columns(g), ~_vertex_mask(g.n, subset), len(subset))[1])
+    return math.fsum(_family_search(g, s)[2])
 
 
 def incidence_minor_magnitude(inc: OrientedIncidence, s: Iterable[int], k: EdgeSubset) -> int:

@@ -74,6 +74,10 @@ C_MATRIX = np.array([
 ])
 
 
+def triangle(w12=1.0, w13=1.0, w23=1.0):
+    return WeightedGraph(3, ((1, 2, w12), (1, 3, w13), (2, 3, w23)))
+
+
 def _reject_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 

@@ -303,6 +303,20 @@ class TestKuramotoCommand:
         assert f"has 5000 digits, more than Python's limit of {sys.get_int_max_str_digits()}" in captured.err
         assert len(captured.err) < 200
 
+    @pytest.mark.parametrize("text, message", [
+        ("0.0 x\n", "line 1: not a number: 'x'"),
+        ("0.0\n", "line 1: expected 2 phases, got 1"),
+    ])
+    def test_seed_phase_parse_error_names_the_seed_file(self, capsys, two_node_file, tmp_path, text, message):
+        seeds = tmp_path / "seed.txt"
+        seeds.write_text(text)
+        assert main(["--format", "json", "kuramoto", str(two_node_file), "--seed-phases", str(seeds)]) == 2
+        assert capsys.readouterr() == ("", f"error: {seeds}: {message}\n")
+        # the input file's own errors keep naming only their line
+        two_node_file.write_text("2\nomega: 0.5 x\n1 2 1.0\n")
+        assert main(["--format", "json", "kuramoto", str(two_node_file)]) == 2
+        assert capsys.readouterr() == ("", "error: line 2: not a number: 'x'\n")
+
     def test_empty_seed_phases_is_usage_error(self, capsys, two_node_file):
         with pytest.raises(SystemExit) as exc:
             main(["--format", "json", "kuramoto", str(two_node_file), "--seed-phases", ""])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import C_MATRIX, brute_force_has_cycle, random_signed_graph
+from helpers import C_MATRIX, brute_force_has_cycle, random_signed_graph, triangle
 from mesostab import (
     EdgeSubset,
     WeightedGraph,
@@ -38,9 +38,6 @@ INTRO_LAPLACIAN = np.array([
     [0.0, -1.0, 2.0, -1.0],
     [3.0, 2.0, -1.0, -4.0],
 ])
-
-def triangle(w12=1.0, w13=1.0, w23=1.0):
-    return WeightedGraph(3, ((1, 2, w12), (1, 3, w13), (2, 3, w23)))
 
 
 class TestWeightedGraph:

@@ -17,6 +17,7 @@ from helpers import (
     looped_det_partial_pivot,
     marked_forest_leaves,
     random_signed_graph,
+    triangle,
 )
 from mesostab import (
     EdgeSubset,
@@ -35,10 +36,7 @@ from mesostab import (
 )
 from mesostab import minors
 from mesostab.graphs import _simple_columns
-from mesostab.numerics import GuardLimitError, det_partial_pivot, partial_pivot_dets
-
-def triangle():
-    return WeightedGraph(3, ((1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)))
+from mesostab.numerics import GuardLimitError, det_bareiss, det_partial_pivot, partial_pivot_dets
 
 
 class TestDirectMinor:
@@ -439,20 +437,20 @@ def test_lazy_family_matches_oracle_bit_for_bit(case):
 
 
 class TestFamilyCheck:
-    """A bad member injected into the enumerator's output is caught, in the
-    first 256-member slice of the check and past it."""
+    """A bad member injected into the enumerator's output is caught by its
+    incidence minor, in the first 256-member slice of the check and past it."""
 
     # K6 edges in index order: 12 13 14 15 16 23 24 25 26 34 35 36 45 46 56 (0..14).
     # S = {1,2,3,4} has 432 members, each with 4 edges and two trees.
     S = (1, 2, 3, 4)
 
-    def _inject(self, monkeypatch, bad):
+    def _inject(self, monkeypatch, bad, g=None, s=S):
         """The message of the check with ``bad`` ({position: row}) written over the search's rows."""
         search = minors._forest_family
 
         def injected(*args):
             rows, products = search(*args)
-            assert rows.shape == (432, 4)
+            assert g is not None or rows.shape == (432, 4)
             rows = rows.copy()
             for position, row in bad.items():
                 rows[position] = row
@@ -460,28 +458,109 @@ class TestFamilyCheck:
 
         monkeypatch.setattr(minors, "_forest_family", injected)
         with pytest.raises(AssertionError) as exc:
-            enumerate_forest_family(complete_graph(6), self.S)
+            enumerate_forest_family(complete_graph(6) if g is None else g, s)
         return str(exc.value)
+
+    @staticmethod
+    def _text(member, s=S):
+        return f"member {member} is not in the forest family of {s}: incidence minor 0.0"
 
     @pytest.mark.parametrize("position", [0, 10, 255, 256, 300, 431])
     def test_cycle_is_caught(self, monkeypatch, position):
         # triangle 1-2-3 plus the edge 4-5
-        assert self._inject(monkeypatch, {position: (0, 1, 5, 12)}) == \
-            "enumeration produced a non-forest (0, 1, 5, 12)"
+        assert self._inject(monkeypatch, {position: (0, 1, 5, 12)}) == self._text((0, 1, 5, 12))
 
     @pytest.mark.parametrize("position", [10, 300])
-    @pytest.mark.parametrize("member, text", [
-        ((3, 4, 5, 9), "component [1, 5, 6] does not leave (1, 2, 3, 4) exactly once"),  # two outside
-        ((0, 10, 11, 12), "component [1, 2] does not leave (1, 2, 3, 4) exactly once"),  # none, then two
+    @pytest.mark.parametrize("member", [
+        (3, 4, 5, 9),  # a tree with two outside vertices
+        (0, 10, 11, 12),  # a tree with none, then one with two
         # vertex 1 alone is a tree with no edge, so the other holds both outside vertices
-        ((5, 9, 12, 14), "component [2, 3, 4, 5, 6] does not leave (1, 2, 3, 4) exactly once"),
+        (5, 9, 12, 14),
     ])
-    def test_tree_leaving_s_more_or_less_than_once_is_caught(self, monkeypatch, position, member, text):
-        assert self._inject(monkeypatch, {position: member}) == text
+    def test_tree_leaving_s_more_or_less_than_once_is_caught(self, monkeypatch, position, member):
+        assert self._inject(monkeypatch, {position: member}) == self._text(member)
 
     def test_first_bad_member_is_named(self, monkeypatch):
         bad = {300: (3, 4, 5, 9), 301: (0, 1, 5, 12), 400: (0, 1, 5, 12)}
-        assert self._inject(monkeypatch, bad).startswith("component [1, 5, 6]")
+        assert self._inject(monkeypatch, bad) == self._text((3, 4, 5, 9))
+
+    def test_loop_edge_is_caught(self, monkeypatch):
+        # K6 with a loop at vertex 1 as edge 15: the member 23 34 45 11 is the
+        # member 15 23 34 45 with the loop in place of 1-5, and a loop's column is zero
+        looped = WeightedGraph(6, complete_graph(6).edges + ((1, 1, 2.0),))
+        assert self._inject(monkeypatch, {300: (5, 9, 12, 15)}, looped) == self._text((5, 9, 12, 15))
+
+    def test_member_on_a_host_with_many_isolated_vertices_is_caught(self, monkeypatch):
+        # the path 1-2-3-4-5 among 10,000 vertices; 1-2 with 3-4 leaves the tree 1-2 no outside vertex
+        g = WeightedGraph(10_000, tuple((v, v + 1, 1.0) for v in range(1, 5)))
+        assert self._inject(monkeypatch, {0: (0, 2)}, g, (1, 2)) == self._text((0, 2), (1, 2))
+
+    def test_check_memory_does_not_follow_the_vertex_count(self):
+        path = tuple((v, v + 1, 1.0) for v in range(1, 5))
+        rows = enumerate_forest_family(WeightedGraph(5, path), (1, 2, 3))._rows
+        host = WeightedGraph(10**6, path)
+        tracemalloc.start()
+        try:
+            minors._check_members(host, (1, 2, 3), rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one byte per vertex, a mask over the host's vertices, would be 10**6
+        assert peak < 10**5
+
+
+@st.composite
+def incidence_minor_stacks(draw):
+    """The signed incidence matrix of a random graph with at most 32 edges
+    (loops and repeated pairs allowed, so some columns are zero or equal), a
+    vertex set S and a stack of |S|-column selections, each in random order."""
+    n = draw(st.integers(1, 12))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=32))
+    incidence = np.zeros((n, len(edges)), dtype=np.int64)
+    for col, (i, j) in enumerate(edges):
+        incidence[i, col] += 1
+        incidence[j, col] -= 1
+    s = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, len(edges)))))
+    columns = st.permutations(range(len(edges))).map(lambda p: p[:len(s)])
+    return incidence[s], draw(st.lists(columns, min_size=1, max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidence_minor_stacks())
+def test_stacked_incidence_minors_are_exact(case):
+    # The member check's premise: the incidence matrix is totally unimodular,
+    # so partial-pivot LU stays in {0, ±1} and every determinant is exact.
+    rows, selections = case
+    stack = rows[:, selections].transpose(1, 0, 2)
+    dets = np.linalg.det(stack.astype(float))
+    assert set(dets.tolist()) <= {-1.0, 0.0, 1.0}
+    assert dets.tolist() == [det_bareiss(minor.tolist()) for minor in stack]
+
+
+@st.composite
+def member_checks(draw):
+    """A graph on at most 7 vertices and 12 edges, loops allowed, a vertex
+    set S and up to 8 rows of |S| distinct edge indices, ascending."""
+    n = draw(st.integers(1, 7))
+    every = list(itertools.combinations_with_replacement(range(1, n + 1), 2))
+    pairs = draw(st.lists(st.sampled_from(every), unique=True, min_size=1, max_size=12))
+    g = WeightedGraph(n, tuple((i, j, draw(st.sampled_from([-1.5, 1.0]))) for i, j in pairs))
+    s = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=min(n, len(pairs))))))
+    row = st.permutations(range(len(pairs))).map(lambda p: tuple(sorted(p[:len(s)])))
+    return g, s, draw(st.lists(row, min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(member_checks())
+def test_member_check_accepts_exactly_the_family(case):
+    g, s, rows = case
+    family = set(map(tuple, enumerate_forest_family(g, s)._rows.tolist()))
+    for row in rows:
+        if row in family:
+            minors._check_members(g, s, np.array([row]))
+        else:
+            with pytest.raises(AssertionError, match=r"is not in the forest family .*: incidence minor 0\.0$"):
+                minors._check_members(g, s, np.array([row]))
 
 
 class TestCombinatorialMinor:
